@@ -138,5 +138,5 @@ int main(int argc, char** argv) {
 
   solver_table(h);
   em2d_table(h);
-  return 0;
+  return h.finish();
 }

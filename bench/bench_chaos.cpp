@@ -148,5 +148,5 @@ int main(int argc, char** argv) {
   }
 
   h.finish();
-  return 0;
+  return h.finish();
 }

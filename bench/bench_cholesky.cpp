@@ -73,5 +73,5 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  return 0;
+  return h.finish();
 }

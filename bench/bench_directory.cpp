@@ -149,5 +149,5 @@ int main(int argc, char** argv) {
   const double speedup = full.wall_ms / directed.wall_ms;
   std::printf("\nbytes shrink: %.1fx   wall speedup: %.2fx\n", byte_shrink,
               speedup);
-  return 0;
+  return h.finish();
 }

@@ -110,5 +110,5 @@ int main(int argc, char** argv) {
     run_case_2d(h, h.smoke() ? 24 : 48, h.smoke() ? 16 : 48, procs);
     if (!h.smoke()) run_case_2d(h, 96, 64, procs);
   }
-  return 0;
+  return h.finish();
 }

@@ -313,5 +313,5 @@ int main(int argc, char** argv) {
   checker_throughput(h);
   streaming_check(h);
   figure1_table(h);
-  return 0;
+  return h.finish();
 }

@@ -165,5 +165,5 @@ int main(int argc, char** argv) {
   mixed_row.metrics = mixed_instance().metrics();
   auto& sc_row = h.add_row("micro-sc-system");
   sc_row.metrics = sc_instance().metrics();
-  return 0;
+  return h.finish();
 }

@@ -513,6 +513,6 @@ int main(int argc, char** argv) {
               sampler.series().size(),
               static_cast<unsigned long long>(sampler.series().dropped()));
 
-  h.finish();
-  return violations_total == 0 && !structural_failure ? 0 : 1;
+  const int written = h.finish();
+  return violations_total == 0 && !structural_failure ? written : 1;
 }

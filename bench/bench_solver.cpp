@@ -88,5 +88,5 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  return 0;
+  return h.finish();
 }

@@ -246,5 +246,5 @@ int main(int argc, char** argv) {
                "producer/consumer handoff: mixed's await vs hybrid consistency's "
                "strong flag vs the SC baseline");
   handoff_case(h, h.smoke() ? 5 : 50);
-  return 0;
+  return h.finish();
 }

@@ -43,8 +43,10 @@ inline double blocked_ms(const MetricsSnapshot& m, const char* key = "dsm.blocke
 /// Harness-level observability: parses `--json <path>` (emit a RunReport
 /// document on exit) and `--trace <path>` / the MC_TRACE environment
 /// variable (enable the event tracer, dump Chrome-trace JSON on exit).
-/// Construct once at the top of main; rows added via add_row() are written
-/// when the harness is destroyed.
+/// Construct once at the top of main and end main with `return h.finish();`
+/// — the exit status is non-zero when a requested report or trace cannot
+/// be written.  The destructor writes them too (for early returns), but its
+/// status is lost.
 class Harness {
  public:
   Harness(const char* name, int argc, char** argv) {
@@ -153,9 +155,10 @@ class Harness {
     return report_.rows.back();
   }
 
-  /// Write the report and/or trace now (idempotent; the destructor calls it).
-  void finish() {
-    if (finished_) return;
+  /// Write the report and/or trace now (idempotent; the destructor calls
+  /// it).  Returns the process exit status: 1 if either write failed.
+  int finish() {
+    if (finished_) return status_;
     finished_ = true;
     if (!json_path_.empty()) {
       if (report_.write_file(json_path_)) {
@@ -163,6 +166,7 @@ class Harness {
                      report_.rows.size());
       } else {
         std::fprintf(stderr, "FAILED to write %s\n", json_path_.c_str());
+        status_ = 1;
       }
     }
     if (!trace_path_.empty()) {
@@ -173,8 +177,10 @@ class Harness {
                          obs::Tracer::instance().events_recorded()));
       } else {
         std::fprintf(stderr, "FAILED to write %s\n", trace_path_.c_str());
+        status_ = 1;
       }
     }
+    return status_;
   }
 
  private:
@@ -185,6 +191,7 @@ class Harness {
   bool smoke_ = false;
   bool profile_ = false;
   bool finished_ = false;
+  int status_ = 0;
 };
 
 /// Keep `value` observable so timing loops are not optimized away.

@@ -44,6 +44,9 @@ Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint lo
   }
   if (dir_mode_) {
     sharer_mask_.assign(cfg_.num_vars, 0);
+    writers_.assign(cfg_.num_vars, 0);
+    writer_reg_.assign(cfg_.num_vars, elastic_);
+    writer_reg_inflight_.assign(cfg_.num_vars, false);
     cached_.assign(cfg_.num_vars, false);
     last_use_.assign(cfg_.num_vars, 0);
     fill_inflight_.assign(cfg_.num_vars, false);
@@ -53,6 +56,12 @@ Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint lo
     // Demand-association variables keep full replication.
     for (VarId x = 0; x < cfg_.num_vars; ++x) {
       if (!dir_managed(x) || effective_home(x) == self_) cached_[x] = true;
+      // Writer sets start at the home alone; elastic runs register every
+      // process for every variable, so re-homing and joiners need no
+      // registration traffic (docs/DIRECTORY.md).
+      writers_[x] = elastic_ ? full_mask(cfg_.num_procs)
+                             : std::uint64_t{1} << static_home(x);
+      if (!dir_managed(x) || static_home(x) == self_) writer_reg_[x] = true;
     }
   }
   if (cfg_.batching.has_value()) {
@@ -253,6 +262,12 @@ void Node::run_delivery() {
       }
       case kDirSharerSync:
         on_dir_sharer_sync(*m);
+        break;
+      case kDirWriterReq:
+        on_dir_writer_req(*m);
+        break;
+      case kDirWriterRow:
+        on_dir_writer_row(*m);
         break;
       case kFetchResp: {
         FetchResult res;
@@ -875,21 +890,17 @@ void Node::leave() {
     }
     if (cfg_.batching.has_value()) flush_staged_locked();
     dir_handoff_wait_ = handoff;
-    for (ProcId p = 0; handoff != 0 && p < cfg_.num_procs; ++p) {
-      if ((handoff >> p & 1) == 0) continue;
-      // Flush-and-ack probe (a kDirSharerAdd carrying no variables): FIFO
-      // sequences the ack behind the offers just flushed on this channel,
-      // so a cleared wait bit means the new home has applied them.
-      net::Message probe;
-      probe.src = self_;
-      probe.dst = p;
-      probe.kind = kDirSharerAdd;
-      probe.a = 0;
-      probe.b = kDirHandoffToken;
-      probe.c = self_;
-      probe.d = view_.epoch;
-      fabric_.send(std::move(probe));
-    }
+    // Flush-and-ack probe (a kDirSharerAdd carrying no variables): FIFO
+    // sequences the ack behind the offers just flushed on this channel, so
+    // a cleared wait bit means the new home has applied them.
+    net::Message probe;
+    probe.src = self_;
+    probe.kind = kDirSharerAdd;
+    probe.a = 0;
+    probe.b = kDirHandoffToken;
+    probe.c = self_;
+    probe.d = view_.epoch;
+    send_to_mask(probe, handoff);
   }
   if (handoff != 0) {
     std::unique_lock lk(mu_);
@@ -938,6 +949,17 @@ bool Node::replica_pinned(VarId x) const {
          fill_inflight_[x];
 }
 
+template <typename Take>
+std::vector<VarId> Node::same_home_frame(VarId x, std::size_t limit, Take take) const {
+  const ProcId h = effective_home(x);
+  std::vector<VarId> frame{x};
+  for (VarId y = 0; y < cfg_.num_vars && frame.size() < limit; ++y) {
+    if (y == x || !dir_managed(y) || effective_home(y) != h || !take(y)) continue;
+    frame.push_back(y);
+  }
+  return frame;
+}
+
 void Node::request_fill(std::unique_lock<std::mutex>& lk, VarId x) {
   MC_CHECK(dir_managed(x));
   // Another thread's fill for x is already in flight: piggyback on it.
@@ -957,20 +979,16 @@ void Node::request_fill(std::unique_lock<std::mutex>& lk, VarId x) {
   if (profiler_ != nullptr) profiler_->record_fetch(x);
   const std::uint64_t token = ++fill_token_counter_;
   PendingFill& pf = fills_[token];
-  pf.vars.push_back(x);
-  fill_inflight_[x] = true;
   // Same-home prefetch: pull a working-set frame in one bulk reply.  Capped
   // by the budget so the sweep after install cannot evict the frame itself.
   std::size_t frame = cfg_.directory->fetch_frame;
   if (cfg_.directory->replica_budget > 0) {
     frame = std::min(frame, cfg_.directory->replica_budget);
   }
-  for (VarId y = 0; y < cfg_.num_vars && pf.vars.size() < frame; ++y) {
-    if (y == x || cached_[y] || fill_inflight_[y] || !dir_managed(y)) continue;
-    if (effective_home(y) != h) continue;
-    pf.vars.push_back(y);
-    fill_inflight_[y] = true;
-  }
+  pf.vars = same_home_frame(x, frame, [&](VarId y) {
+    return !cached_[y] && !fill_inflight_[y];
+  });
+  for (const VarId y : pf.vars) fill_inflight_[y] = true;
   // Flush first, request second: our own staged writes travel ahead of the
   // request on our channel to the home, so the fill reflects them
   // (read-your-writes across a miss).
@@ -1017,15 +1035,15 @@ void Node::on_fetch_bulk_req(const net::Message& m) {
       if (profiler_ != nullptr) profiler_->record_sharer_add(x);
     }
   }
-  // Ack fence: every third party flushes its staging buffers before the
-  // snapshot ships.  A write causally preceding the requester's floor was
-  // issued before this fill was requested, so at its writer it is either
-  // already sent (FIFO ahead of the ack on the writer->home channel) or
-  // still staged (the flush ships it ahead of the ack) — either way the
-  // snapshot covers it.
-  std::uint64_t fence = elastic_ ? view_.alive_mask : full_mask(cfg_.num_procs);
-  fence &= ~(std::uint64_t{1} << requester);
-  fence &= ~(std::uint64_t{1} << self_);
+  // Ack fence: every other registered writer flushes its staging buffers
+  // before the snapshot ships.  A write causally preceding the requester's
+  // floor was issued before this fill was requested, by a process already
+  // registered as a writer here (registration precedes a first write), so
+  // at its writer it is either already sent (FIFO ahead of the ack on the
+  // writer->home channel) or still staged (the flush ships it ahead of the
+  // ack) — either way the snapshot covers it.  A writer registering after
+  // this point receives a row that already names the requester.
+  const std::uint64_t fence = row_audience_locked(f.vars, requester);
   if (fence == 0) {
     send_fill_response_locked(m.b, f);
     return;
@@ -1039,12 +1057,7 @@ void Node::on_fetch_bulk_req(const net::Message& m) {
   add.c = requester;
   add.d = elastic_ ? view_.epoch : 0;
   add.payload.assign(f.vars.begin(), f.vars.end());
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    if ((fence >> p & 1) == 0) continue;
-    net::Message copy = add;
-    copy.dst = p;
-    fabric_.send(std::move(copy));
-  }
+  send_to_mask(add, fence);
   fills_serving_[{requester, m.b}] = std::move(f);
 }
 
@@ -1244,13 +1257,8 @@ void Node::on_dir_unregister(const net::Message& m) {
   del.a = vars.size();
   del.c = evictor;
   del.payload.assign(vars.begin(), vars.end());
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    if (p == self_ || p == evictor) continue;
-    if (elastic_ && !view_.is_alive(p)) continue;
-    net::Message copy = del;
-    copy.dst = p;
-    fabric_.send(std::move(copy));
-  }
+  // Only registered writers mirror the rows; nobody else needs to hear.
+  send_to_mask(del, row_audience_locked(vars, evictor));
 }
 
 void Node::on_dir_sharer_del(const net::Message& m) {
@@ -1272,6 +1280,84 @@ void Node::on_dir_sharer_sync(const net::Message& m) {
     sharer_mask_[static_cast<VarId>(m.payload[2 * k])] = m.payload[2 * k + 1];
   }
   dir_sync_from_ |= std::uint64_t{1} << static_cast<ProcId>(m.src);
+  cv_.notify_all();
+}
+
+void Node::send_to_mask(const net::Message& m, std::uint64_t dests) {
+  for (ProcId p = 0; dests != 0 && p < cfg_.num_procs; ++p) {
+    if ((dests >> p & 1) == 0) continue;
+    net::Message copy = m;
+    copy.dst = p;
+    fabric_.send(std::move(copy));
+  }
+}
+
+std::uint64_t Node::row_audience_locked(const std::vector<VarId>& vars,
+                                        ProcId except) const {
+  std::uint64_t audience = 0;
+  for (const VarId x : vars) audience |= writers_[x];
+  if (elastic_) audience &= view_.alive_mask;
+  return audience & ~(std::uint64_t{1} << except) & ~(std::uint64_t{1} << self_);
+}
+
+void Node::register_writer(std::unique_lock<std::mutex>& lk, VarId x) {
+  MC_CHECK(dir_managed(x));
+  // Another thread's registration for x is already in flight: piggyback.
+  if (!writer_reg_inflight_[x]) {
+    // Same-home frame: a writer of x usually goes on to write x's
+    // stripe-mates, so register them in the same round trip.
+    const std::vector<VarId> vars =
+        same_home_frame(x, cfg_.directory->fetch_frame, [&](VarId y) {
+          return !writer_reg_[y] && !writer_reg_inflight_[y];
+        });
+    for (const VarId y : vars) writer_reg_inflight_[y] = true;
+    net::Message req;
+    req.src = self_;
+    req.dst = effective_home(x);
+    req.kind = kDirWriterReq;
+    req.a = vars.size();
+    req.payload.assign(vars.begin(), vars.end());
+    fabric_.send(std::move(req));
+  }
+  wait_or_die(lk, "directory writer registration blocked past the liveness deadline",
+              [&] { return writer_reg_[x]; });
+}
+
+void Node::on_dir_writer_req(const net::Message& m) {
+  const auto writer = static_cast<ProcId>(m.src);
+  std::scoped_lock lk(mu_);
+  MC_CHECK(m.payload.size() >= m.a);
+  net::Message row;
+  row.src = self_;
+  row.dst = writer;
+  row.kind = kDirWriterRow;
+  row.a = m.a;
+  for (std::uint64_t k = 0; k < m.a; ++k) {
+    const auto x = static_cast<VarId>(m.payload[k]);
+    if ((writers_[x] >> writer & 1) == 0) {
+      writers_[x] |= std::uint64_t{1} << writer;
+      stats_.dir_writer_regs.add();
+    }
+    row.payload.push_back(x);
+    row.payload.push_back(sharer_mask_[x]);
+  }
+  // Sent under mu_ on the home->writer channel: every later kDirSharerAdd
+  // / kDirSharerDel for these rows queues behind it.
+  fabric_.send(std::move(row));
+}
+
+void Node::on_dir_writer_row(const net::Message& m) {
+  {
+    std::scoped_lock lk(mu_);
+    MC_CHECK(m.payload.size() >= 2 * m.a);
+    for (std::uint64_t k = 0; k < m.a; ++k) {
+      const auto x = static_cast<VarId>(m.payload[2 * k]);
+      if (!writer_reg_inflight_[x]) continue;  // duplicate reply
+      sharer_mask_[x] = m.payload[2 * k + 1];
+      writer_reg_inflight_[x] = false;
+      writer_reg_[x] = true;
+    }
+  }
   cv_.notify_all();
 }
 
@@ -1616,7 +1702,11 @@ void Node::write(VarId x, Value v) {
   stats_.writes.add();
   if (profiler_ != nullptr) profiler_->record_write(x);
   {
-    std::scoped_lock lk(mu_);
+    std::unique_lock lk(mu_);
+    // Directory mode: a first write to a variable homed elsewhere registers
+    // this process as its writer, so the home fences fills on us and our
+    // multicasts know the variable's sharers.
+    if (dir_managed(x) && !writer_reg_[x]) register_writer(lk, x);
     const SeqNo seq = ++write_counter_;
     const WriteId id{self_, seq};
 
@@ -1675,6 +1765,9 @@ void Node::do_delta(VarId x, Value amount, std::uint64_t flags) {
     // is delta_touched afterwards (counter pin), so it is never evicted and
     // the race cannot recur.
     if (dir_managed(x)) {
+      // Register before filling: registration never lapses, while the
+      // replica could be swept out again during a later blocking wait.
+      if (!writer_reg_[x]) register_writer(lk, x);
       while (!cached_[x]) request_fill(lk, x);
       last_use_[x] = ++use_tick_;
     }

@@ -4,10 +4,10 @@
 // Architecture (see DESIGN.md):
 //   - every write/delta is stamped with the process's vector clock and
 //     broadcast over FIFO channels;
-//   - two store views absorb the same update stream: the PRAM view applies
-//     in per-sender FIFO arrival order, the causal view buffers until
-//     causally ready;
-//   - reads block on per-view *floors*: vector clocks raised by the
+//   - one local store absorbs the update stream in causally-ready order;
+//     PRAM and causal reads see the same store and differ only in which
+//     floor they block on;
+//   - reads block on per-label *floors*: vector clocks raised by the
 //     synchronization machinery (lock grants, barrier releases, await
 //     resolutions) and by previously observed values, implementing the
 //     |-> lock, |-> bar, |-> await orders and the reads-from obligations of
@@ -85,10 +85,11 @@ struct NodeStats {
   /// Directory-based partial replication (Config::directory;
   /// docs/METRICS.md `directory.*`): bulk fills requested, records they
   /// installed, replicas evicted under the budget, frontier probes sent
-  /// from blocked reads, sharer registrations/deregistrations seen at this
-  /// node's home role, and departed-sharer bits purged at view commits.
+  /// from blocked reads, sharer registrations/deregistrations and writer
+  /// registrations seen at this node's home role, and departed-sharer bits
+  /// purged at view commits.
   Counter dir_fills, dir_fill_records, dir_evictions, dir_frontier_pings,
-      dir_sharer_adds, dir_sharer_dels, dir_sharers_purged;
+      dir_sharer_adds, dir_sharer_dels, dir_writer_regs, dir_sharers_purged;
   /// Time a read/delta spent blocked on a demand-page fill.
   LatencyHistogram dir_fill_wait_ns;
 
@@ -261,9 +262,9 @@ class Node {
   };
 
   /// Home side of a directory fill: the snapshot is deferred until every
-  /// third party has flushed its staging buffers and acknowledged the
-  /// sharer registration (the ack fence that makes a freshly paged-in
-  /// replica satisfy the requester's causal floor).
+  /// other registered writer has flushed its staging buffers and
+  /// acknowledged the sharer registration (the ack fence that makes a
+  /// freshly paged-in replica satisfy the requester's causal floor).
   struct ServingFill {
     ProcId requester = kNoProc;
     std::vector<VarId> vars;
@@ -301,10 +302,25 @@ class Node {
   /// guarantee), counters (a delta-merged value is a sum of local
   /// applications, not refetchable), and fills still in flight.  Expects mu_.
   [[nodiscard]] bool replica_pinned(VarId x) const;
+  /// x followed by up to `limit - 1` other directory-managed variables with
+  /// x's home for which `take(y)` holds, lowest ids first.  Expects mu_.
+  template <typename Take>
+  [[nodiscard]] std::vector<VarId> same_home_frame(VarId x, std::size_t limit,
+                                                   Take take) const;
   /// Demand-page x (plus a same-home prefetch frame) from its home and
   /// block until the bulk fill installs.  Expects lk held; releases it
   /// while blocked.
   void request_fill(std::unique_lock<std::mutex>& lk, VarId x);
+  /// Register as a writer of x (plus a same-home frame) with its home and
+  /// block until the reply installs the current sharer rows.  Expects lk
+  /// held; releases it while blocked.
+  void register_writer(std::unique_lock<std::mutex>& lk, VarId x);
+  /// Send a copy of `m` to every process whose bit is set in `dests`.
+  void send_to_mask(const net::Message& m, std::uint64_t dests);
+  /// Home side: the live registered writers of any of `vars`, minus
+  /// `except` and this node — the audience of a row change.  Expects mu_.
+  [[nodiscard]] std::uint64_t row_audience_locked(const std::vector<VarId>& vars,
+                                                  ProcId except) const;
   /// Home side: snapshot the fill's variables into one kFetchBulkResp.
   /// Expects mu_.
   void send_fill_response_locked(std::uint64_t token, const ServingFill& f);
@@ -325,6 +341,8 @@ class Node {
   void on_dir_unregister(const net::Message& m);
   void on_dir_sharer_del(const net::Message& m);
   void on_dir_sharer_sync(const net::Message& m);
+  void on_dir_writer_req(const net::Message& m);
+  void on_dir_writer_row(const net::Message& m);
 
   /// Elastic fence: floor dominance with the dead components waived — a
   /// departed process's updates past our applied frontier will never
@@ -456,12 +474,22 @@ class Node {
 
   // Directory state (Config::directory; guarded by mu_).
   const bool dir_mode_;
-  /// Full directory mirror: bit p of sharer_mask_[x] set means process p
-  /// holds a demand-paged replica of x.  Every change to x's row flows
-  /// through x's home (kDirSharerAdd / kDirSharerDel multicasts on the
-  /// home's FIFO channels), so all mirrors see one order; the home's own
-  /// rows for its homed variables are the authority.
+  /// Directory rows: bit p of sharer_mask_[x] set means process p holds a
+  /// demand-paged replica of x.  The home's rows for its homed variables
+  /// are the authority; a registered writer of x mirrors x's row, because
+  /// every change to it flows from the home on the home->writer FIFO
+  /// channel (kDirWriterRow first, then kDirSharerAdd / kDirSharerDel).
+  /// Other nodes' copies of a row are unused and may be stale.
   std::vector<std::uint64_t> sharer_mask_;
+  /// Home side: writers_[x] is the set of processes registered to write x
+  /// (always including the home).  Only they can hold an unflushed write
+  /// to x, so only they join x's fill fence and hear x's row changes.
+  /// Elastic runs register every process for every variable.
+  std::vector<std::uint64_t> writers_;
+  /// Writer side: registered as a writer of x (homed variables and elastic
+  /// runs from the start), and registration requested but not yet answered.
+  std::vector<bool> writer_reg_;
+  std::vector<bool> writer_reg_inflight_;
   /// Replica presence: homed variables are pinned from the start, others
   /// demand-page in via request_fill and may be evicted back out.
   std::vector<bool> cached_;

@@ -107,7 +107,9 @@ enum MsgKind : std::uint16_t {
 
   // --- directory-based partial replication (docs/DIRECTORY.md) -----------
   // Every variable has a *home* node; updates multicast only to registered
-  // sharers plus the home, and replicas demand-page in on first read.
+  // sharers plus the home, and replicas demand-page in on first read.  A
+  // variable's sharer row lives at its home and is mirrored only at its
+  // registered writers (the processes that may multicast updates to it).
 
   /// Bulk fill request: requester -> home.  a=var count N, b=fill token
   /// (requester-local), c=requester's view epoch (0 outside elastic mode);
@@ -122,20 +124,24 @@ enum MsgKind : std::uint16_t {
   kFetchBulkResp = 22,
   /// Sharer registration, home-serialized.  a=var count N, b=fill token,
   /// c=requesting process, d=home's view epoch; payload = N variable ids.
-  /// Multicast home -> every other live node; each receiver updates its
-  /// directory mirror, flushes staged updates, and acks (deferring until
-  /// its own view epoch catches up to d, so re-homing offers staged at
-  /// that commit flush under the fence).
+  /// Sent home -> each live registered writer of any of the N variables
+  /// other than the requester and the home itself (none at all when the
+  /// home is the only writer); each receiver updates its directory mirror,
+  /// flushes staged updates, and acks (deferring until its own view epoch
+  /// catches up to d, so re-homing offers staged at that commit flush under
+  /// the fence).
   kDirSharerAdd = 23,
-  /// Registration ack: node -> home.  a=fill token, b=requesting process
+  /// Registration ack: writer -> home.  a=fill token, b=requesting process
   /// (tokens are requester-local).  FIFO-ordered behind the acker's
   /// flushed updates, so the home's fill snapshot includes every write
-  /// that causally precedes the requester's read floor.
+  /// that causally precedes the requester's read floor — only registered
+  /// writers can hold such a write unflushed.
   kDirAck = 24,
   /// Eviction deregistration: evictor -> home.  a=var count N; payload =
   /// N variable ids.
   kDirUnregister = 25,
-  /// Sharer removal fan-out: home -> other live nodes.  a=var count N,
+  /// Sharer removal fan-out: home -> each live registered writer of any of
+  /// the N variables other than the evictor and the home.  a=var count N,
   /// c=evicting process; payload = N variable ids.
   kDirSharerDel = 26,
   /// Write-frontier probe for a blocked read.  No fields: the receiver
@@ -147,6 +153,17 @@ enum MsgKind : std::uint16_t {
   /// count N, b=view epoch; payload = N (var, sharer mask) pairs for the
   /// sender's own homed variables (authoritative).
   kDirSharerSync = 29,
+  /// Writer registration: writer -> home, sent before the writer's first
+  /// write or delta to a variable homed elsewhere.  a=var count N; payload
+  /// = N variable ids (the written variable plus up to fetch_frame - 1
+  /// same-home neighbours).  The home adds the sender to each variable's
+  /// writer set, so later fill fences and sharer changes reach it.
+  kDirWriterReq = 30,
+  /// Registration reply: home -> writer.  a=pair count N; payload = N (var,
+  /// sharer mask) pairs, the rows as of registration.  Every later change
+  /// to those rows follows on the same FIFO channel (kDirSharerAdd /
+  /// kDirSharerDel), so the writer's mirror never misses a sharer.
+  kDirWriterRow = 31,
 };
 
 /// Lock request kinds carried in kLockReq/kUnlock (field b).
@@ -203,6 +220,8 @@ inline void register_kind_names(net::Fabric& fabric) {
   fabric.name_kind(kFrontierReq, "frontier_req");
   fabric.name_kind(kFrontierResp, "frontier_resp");
   fabric.name_kind(kDirSharerSync, "dir_sharer_sync");
+  fabric.name_kind(kDirWriterReq, "dir_writer_req");
+  fabric.name_kind(kDirWriterRow, "dir_writer_row");
 }
 
 }  // namespace mc::dsm

@@ -277,6 +277,61 @@ TEST(Chaos, DirectoryEvictRefetchChurnSurvivesDroppedFillFrames) {
   EXPECT_GT(snap.values.at("net.retransmits"), 0u);
 }
 
+TEST(Chaos, DirectoryWriterRegistrationSurvivesDroppedFrames) {
+  // Every process writes only variables homed at its ring successor, one
+  // registration per variable (fetch_frame 1), so the run leans on 48
+  // kDirWriterReq / kDirWriterRow round trips while the plan drops and
+  // duplicates one frame in ten.  A lost reply must be retransmitted, a
+  // duplicate must neither re-register nor clobber a newer row, and the
+  // readers (whose fills fence the registered writers) must still see
+  // every round's values.
+  constexpr std::size_t kProcs = 3;
+  constexpr std::size_t kStripe = 8;
+  constexpr int kRounds = 3;
+  dsm::Config cfg;
+  cfg.num_procs = kProcs;
+  cfg.num_vars = kProcs * kStripe;
+  net::FaultPlan plan = chaos_plan(171);
+  plan.drop_prob = 0.1;
+  plan.dup_prob = 0.1;
+  cfg.faults = plan;
+  cfg.reliable = true;
+  cfg.batching = dsm::BatchingConfig{};
+  dsm::DirectoryConfig dir;
+  dir.fetch_frame = 1;
+  cfg.directory = dir;
+  dsm::MixedSystem sys(cfg);
+  sys.run([&](dsm::Node& n, ProcId p) {
+    const auto stripe = [&](std::size_t owner, std::size_t i) {
+      return static_cast<VarId>(owner * kStripe + i);
+    };
+    const std::size_t written = (p + 1) % kProcs;  // homed at the successor
+    const std::size_t writer_of_read = (p + 1) % kProcs;
+    const std::size_t read = (p + 2) % kProcs;  // written by our successor
+    for (int round = 0; round < kRounds; ++round) {
+      for (std::size_t i = 0; i < kStripe; ++i) {
+        n.write_int(stripe(written, i), 1000 * round + 10 * static_cast<int>(p) +
+                                            static_cast<int>(i));
+      }
+      n.barrier();
+      for (std::size_t i = 0; i < kStripe; ++i) {
+        EXPECT_EQ(n.read_int(stripe(read, i), ReadMode::kPram),
+                  1000 * round + 10 * static_cast<int>(writer_of_read) +
+                      static_cast<int>(i));
+      }
+      n.barrier();
+    }
+  });
+  const MetricsSnapshot snap = sys.metrics();
+  EXPECT_EQ(snap.get("directory.writer_regs"), kProcs * kStripe);
+  EXPECT_GE(snap.get("net.msg.dir_writer_req"), kProcs * kStripe);
+  EXPECT_GE(snap.get("net.msg.dir_writer_row"), kProcs * kStripe);
+  EXPECT_GT(snap.get("net.msg.dir_ack"), 0u);
+  EXPECT_GT(snap.get("net.fault.dropped"), 0u);
+  EXPECT_GT(snap.get("net.fault.duplicated"), 0u);
+  EXPECT_GT(snap.get("net.retransmits"), 0u);
+}
+
 TEST(Chaos, DirectoryCholeskyCountersCheckUnderFaults) {
   // Delta write-allocation (fill-first) under a lossy fabric: decrements
   // land on demand-paged accumulators while the frames that page them in

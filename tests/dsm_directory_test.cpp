@@ -245,6 +245,126 @@ TEST(Directory, PrefetchCappedByBudget) {
 }
 
 // ----------------------------------------------------------------------
+// Writer-scoped rows: registration, fence and row-change audiences
+// ----------------------------------------------------------------------
+
+TEST(Directory, FillWithOnlyTheHomeWritingIsOneRoundTrip) {
+  // vars 0..2 homed at p0, which is also their only writer: the fence has
+  // nobody to wait for, so the fill is one request and one reply, with no
+  // sharer-add or ack traffic at all.
+  MixedSystem sys(dir_config(3, 9, /*budget=*/0, /*fetch_frame=*/3));
+  sys.run([](Node& n, ProcId p) {
+    if (p == 0) {
+      for (VarId x = 0; x < 3; ++x) n.write_int(x, 50 + x);
+      n.barrier();
+      n.barrier();
+    } else {
+      n.barrier();
+      if (p == 1) {
+        for (VarId x = 0; x < 3; ++x) {
+          EXPECT_EQ(n.read_int(x, ReadMode::kPram), 50 + x);
+        }
+      }
+      n.barrier();
+    }
+  });
+  const MetricsSnapshot snap = sys.metrics();
+  EXPECT_EQ(snap.get("directory.fills"), 1u);
+  EXPECT_EQ(snap.get("net.msg.fetch_bulk_req"), 1u);
+  EXPECT_EQ(snap.get("net.msg.fetch_bulk_resp"), 1u);
+  EXPECT_EQ(snap.get("net.msg.dir_sharer_add"), 0u);
+  EXPECT_EQ(snap.get("net.msg.dir_ack"), 0u);
+  EXPECT_EQ(snap.get("net.msg.dir_writer_req"), 0u);
+  EXPECT_EQ(snap.get("directory.writer_regs"), 0u);
+}
+
+TEST(Directory, ForeignWriterRegistersOncePerFrame) {
+  // vars 8..15 homed at p1.  p0's first write to var 8 registers it for
+  // the frame 8..11 in one round trip; rewrites and the rest of the frame
+  // send no registration, and var 12 opens the next frame.
+  MixedSystem sys(dir_config(2, 16, /*budget=*/0, /*fetch_frame=*/4));
+  sys.run([](Node& n, ProcId p) {
+    if (p == 0) {
+      for (int pass = 0; pass < 2; ++pass) {
+        for (VarId x = 8; x < 12; ++x) n.write_int(x, 10 * pass + x);
+      }
+      n.barrier();
+      n.write_int(12, 7);
+      n.write_int(13, 8);
+      n.barrier();
+    } else {
+      n.barrier();
+      for (VarId x = 8; x < 12; ++x) {
+        EXPECT_EQ(n.read_int(x, ReadMode::kPram), 10 + x);  // home copies
+      }
+      n.barrier();
+      EXPECT_EQ(n.read_int(12, ReadMode::kPram), 7);
+      EXPECT_EQ(n.read_int(13, ReadMode::kPram), 8);
+    }
+  });
+  const MetricsSnapshot snap = sys.metrics();
+  EXPECT_EQ(snap.get("net.msg.dir_writer_req"), 2u);
+  EXPECT_EQ(snap.get("net.msg.dir_writer_row"), 2u);
+  EXPECT_EQ(snap.get("directory.writer_regs"), 8u);
+  EXPECT_GT(snap.get("net.bytes.dir_writer_req"), 0u);
+  EXPECT_GT(snap.get("net.bytes.dir_writer_row"), 0u);
+}
+
+TEST(Directory, FenceAndEvictionReachOnlyRegisteredWriters) {
+  // 4 procs, vars 0..3 homed at p0.  p2 writes var 0 (registering as its
+  // writer); p3 never touches it.  p1's fill of var 0 fences p2 alone, and
+  // its eviction (budget 1, pushed out by var 1) tells p2 alone.
+  MixedSystem sys(dir_config(4, 16, /*budget=*/1, /*fetch_frame=*/1));
+  sys.run([](Node& n, ProcId p) {
+    if (p == 0) n.write_int(1, 11);
+    if (p == 2) n.write_int(0, 20);
+    n.barrier();
+    if (p == 1) {
+      EXPECT_EQ(n.read_int(0, ReadMode::kPram), 20);
+      EXPECT_EQ(n.read_int(1, ReadMode::kPram), 11);  // evicts var 0
+    }
+    n.barrier();
+  });
+  const MetricsSnapshot snap = sys.metrics();
+  EXPECT_EQ(snap.get("net.msg.dir_writer_req"), 1u);
+  EXPECT_EQ(snap.get("net.msg.dir_sharer_add"), 1u);
+  EXPECT_EQ(snap.get("net.msg.dir_ack"), 1u);
+  EXPECT_EQ(snap.get("directory.evictions"), 1u);
+  EXPECT_EQ(snap.get("net.msg.dir_unregister"), 1u);
+  EXPECT_EQ(snap.get("net.msg.dir_sharer_del"), 1u);
+}
+
+TEST(Directory, WriterRegisteringDuringAFillSeesTheRequester) {
+  // x = var 0, homed at p0; p2 is a registered writer, so p1's fill of x
+  // waits on p2's ack.  A 10 ms link latency stretches that fence to about
+  // four hops; p3 registers as x's writer half a hop into it, so the home
+  // answers with a row that already names p1, and p3's write must reach p1
+  // directly — the snapshot shipped before the write reached the home.
+  // Whatever the exact interleaving, p1 must read p3's write after the
+  // next barrier.
+  Config cfg = dir_config(4, 16);
+  cfg.latency.base = 10ms;
+  MixedSystem sys(cfg);
+  sys.run([](Node& n, ProcId p) {
+    if (p == 2) n.write_int(0, 1);
+    n.barrier();
+    if (p == 1) {
+      const std::int64_t first = n.read_int(0, ReadMode::kPram);
+      EXPECT_TRUE(first == 1 || first == 2) << first;
+    } else if (p == 3) {
+      std::this_thread::sleep_for(5ms);
+      n.write_int(0, 2);
+    }
+    n.barrier();
+    if (p == 1) EXPECT_EQ(n.read_int(0, ReadMode::kPram), 2);
+  });
+  const MetricsSnapshot snap = sys.metrics();
+  EXPECT_EQ(snap.get("directory.fills"), 1u);
+  EXPECT_EQ(snap.get("net.msg.dir_writer_req"), 2u);
+  EXPECT_GE(snap.get("net.msg.dir_ack"), 1u);
+}
+
+// ----------------------------------------------------------------------
 // Deltas
 // ----------------------------------------------------------------------
 
@@ -464,7 +584,8 @@ TEST(Directory, MetricsExposeDirectoryKeys) {
   for (const char* key :
        {"directory.fills", "directory.fill_records", "directory.evictions",
         "directory.frontier_pings", "directory.sharer_adds",
-        "directory.sharer_dels", "directory.sharers_purged"}) {
+        "directory.sharer_dels", "directory.writer_regs",
+        "directory.sharers_purged"}) {
     EXPECT_TRUE(snap.values.count(key)) << key;
   }
   EXPECT_TRUE(snap.values.count("directory.fill_wait_ns.count"));

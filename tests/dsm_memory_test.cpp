@@ -111,6 +111,10 @@ TEST(DsmMemory, IntDeltasAccumulateCommutatively) {
   MixedSystem sys(small(3));
   sys.node(0).write_int(0, 100);
   sys.run([](Node& n, ProcId) {
+    // The barrier orders the initial write before every decrement: a write
+    // concurrent with deltas does not commute with them, and the replicas
+    // that applied some deltas first would arbitrate it away.
+    n.barrier();
     for (int i = 0; i < 10; ++i) n.dec_int(0, 1);
   });
   // All deltas are broadcast; once every process's decrements are applied
@@ -126,7 +130,10 @@ TEST(DsmMemory, IntDeltasAccumulateCommutatively) {
 TEST(DsmMemory, DoubleDeltasAccumulate) {
   MixedSystem sys(small(2));
   sys.node(0).write_double(0, 10.0);
-  sys.run([](Node& n, ProcId) { n.dec_double(0, 2.5); });
+  sys.run([](Node& n, ProcId) {
+    n.barrier();  // the initial write precedes the deltas (see above)
+    n.dec_double(0, 2.5);
+  });
   sys.run([](Node& n, ProcId) {
     while (n.read_double(0, ReadMode::kPram) != 5.0) {
       std::this_thread::yield();
