@@ -1,5 +1,8 @@
 #include "apps/equation_solver.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/check.h"
 #include "dsm/system.h"
 
@@ -395,16 +398,25 @@ SolverResult solve_async_gauss_seidel(const LinearSystem& sys, const SolverOptio
     if (p == 0) {
       // Coordinator: poll the estimate until the residual is small.  No
       // synchronization with the workers at all — the only exit channel is
-      // the `done` flag, which workers poll through PRAM reads.
+      // the `done` flag, which workers poll through PRAM reads.  The give-up
+      // bound counts worker rounds, not polls: a coordinator that outpaces
+      // starved workers must not run out of budget before they relax.
       std::vector<double> xs(sys.n);
       std::size_t polls = 0;
       for (;;) {
+        // Round counters first: each worker's components travel ahead of
+        // its counter on the same FIFO channel, so the estimate read next
+        // is at least as fresh as the rounds just seen.
+        std::int64_t slowest = std::numeric_limits<std::int64_t>::max();
+        for (std::size_t w = 0; w < opt.workers; ++w) {
+          slowest = std::min(slowest, node.read_int(lay.computed(w), ReadMode::kPram));
+        }
         for (std::size_t i = 0; i < sys.n; ++i) {
           xs[i] = node.read_double(lay.x(i), ReadMode::kPram);
         }
         const double resid = residual_inf(sys, xs);
         ++polls;
-        if (resid < opt.tol || polls >= opt.max_iters * 16) {
+        if (resid < opt.tol || slowest >= static_cast<std::int64_t>(opt.max_iters)) {
           node.write_int(lay.done(), 1);
           out.x = xs;
           out.iterations = polls;
@@ -415,9 +427,22 @@ SolverResult solve_async_gauss_seidel(const LinearSystem& sys, const SolverOptio
       }
     } else {
       // Worker: chaotic Gauss-Seidel relaxation — install each component
-      // immediately and keep sweeping with whatever has arrived.
-      const auto [r0, r1] = lay.rows(p - 1);
+      // immediately and keep sweeping with whatever has arrived.  A sweep
+      // completes a round only if it started after every other worker had
+      // completed as many rounds, so its reads saw their last round's
+      // values: the asynchronous-iteration epoch, whose count bounds the
+      // error however the schedule starves a worker's delivery.  Rounds are
+      // published as plain writes, like the components.
+      const std::size_t me = p - 1;
+      const auto [r0, r1] = lay.rows(me);
+      std::int64_t rounds = 0;
       while (node.read_int(lay.done(), ReadMode::kPram) == 0) {
+        bool fresh = true;
+        for (std::size_t w = 0; w < opt.workers; ++w) {
+          if (w != me && node.read_int(lay.computed(w), ReadMode::kPram) < rounds) {
+            fresh = false;
+          }
+        }
         for (std::size_t i = r0; i < r1; ++i) {
           double sum = 0.0;
           for (std::size_t j = 0; j < sys.n; ++j) {
@@ -427,6 +452,7 @@ SolverResult solve_async_gauss_seidel(const LinearSystem& sys, const SolverOptio
                             (sys.b[i] - sum) / sys.at(i, i);
           node.write_double(lay.x(i), xi);
         }
+        if (fresh) node.write_int(lay.computed(me), ++rounds);
       }
     }
   });

@@ -142,9 +142,11 @@ SolverResult solve_barrier_elastic(const LinearSystem& sys, const SolverOptions&
 /// PRAM."  Workers sweep their row blocks Gauss-Seidel style with *no*
 /// synchronization, installing each component as soon as it is computed and
 /// reading whatever PRAM values have arrived; the coordinator polls the
-/// residual and raises `done`.  The result matches the reference solution
-/// numerically (same fixed point) but not bitwise, and iteration counts are
-/// schedule-dependent.
+/// residual and raises `done` (giving up, unconverged, once every worker
+/// has completed max_iters rounds: sweeps that each began after seeing
+/// every other worker's previous round).  The result matches the reference
+/// solution numerically (same fixed point) but not bitwise, and iteration
+/// counts are schedule-dependent.
 SolverResult solve_async_gauss_seidel(const LinearSystem& sys, const SolverOptions& opt);
 
 /// Variant hooks used by tests: run Figure 2 with a chosen read label

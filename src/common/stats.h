@@ -21,7 +21,8 @@ namespace mc {
 /// A monotone, thread-safe event counter.
 class Counter {
  public:
-  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  /// Returns the value before the addition.
+  std::uint64_t add(std::uint64_t n = 1) { return v_.fetch_add(n, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t get() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 

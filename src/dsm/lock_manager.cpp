@@ -371,7 +371,12 @@ std::function<void()> LockManager::commit_pending() {
 
   // Commit goes to every node of the old and new views (a graceful leaver
   // is waiting for it) plus the barrier manager at self+1 (MixedSystem's
-  // endpoint layout), so stranded barrier instances re-complete.
+  // endpoint layout), so stranded barrier instances re-complete.  The
+  // barrier manager's copy leaves first: a member that has applied the
+  // commit may arrive at a barrier at once, and that arrival must find the
+  // manager already in the new view (on the ideal fabric, sending first
+  // guarantees it), or the manager completes the instance without the
+  // joiner and the joiner's barriers shift by one.
   const std::uint64_t notify = old_mask | pv.mask;
   auto make_commit = [&](net::Endpoint dst) {
     net::Message msg;
@@ -388,11 +393,11 @@ std::function<void()> LockManager::commit_pending() {
     }
     return msg;
   };
+  fabric_.send(make_commit(static_cast<net::Endpoint>(self_ + 1)));
   for (ProcId p = 0; p < static_cast<ProcId>(num_procs_); ++p) {
     if (((notify >> p) & 1) == 0) continue;
     fabric_.send(make_commit(p));
   }
-  fabric_.send(make_commit(static_cast<net::Endpoint>(self_ + 1)));
   if (obs::trace_enabled()) {
     obs::trace_instant("view.commit", "dsm", {"epoch", view_.epoch},
                        {"mask", view_.alive_mask});

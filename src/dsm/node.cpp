@@ -85,6 +85,12 @@ void Node::stop() {
 
 template <typename Pred>
 void Node::wait_or_die(std::unique_lock<std::mutex>& lk, const char* what, Pred pred) {
+  wait_or_die(lk, cv_, what, pred);
+}
+
+template <typename Pred>
+void Node::wait_or_die(std::unique_lock<std::mutex>& lk, std::condition_variable& cv,
+                       const char* what, Pred pred) {
   // Elastic: an evicted process has no further obligations anyone will
   // meet — unwind it instead of letting it stall (system.cpp treats
   // EvictedError as a clean per-process exit).
@@ -92,7 +98,7 @@ void Node::wait_or_die(std::unique_lock<std::mutex>& lk, const char* what, Pred 
   auto stop = [&] { return evicted_ || pred(); };
   Watchdog* wd = watchdog_.load(std::memory_order_acquire);
   if (wd == nullptr) {
-    if (!cv_.wait_for(lk, kLivenessDeadline, stop)) {
+    if (!cv.wait_for(lk, kLivenessDeadline, stop)) {
       MC_CHECK_MSG(false, what);
     }
     if (evicted_) throw EvictedError(what);
@@ -105,7 +111,7 @@ void Node::wait_or_die(std::unique_lock<std::mutex>& lk, const char* what, Pred 
   Watchdog::WaitScope scope(*wd, self_, what);
   const auto deadline = std::chrono::steady_clock::now() + kLivenessDeadline;
   for (;;) {
-    if (cv_.wait_for(lk, wd->poll_interval(), stop)) {
+    if (cv.wait_for(lk, wd->poll_interval(), stop)) {
       if (evicted_) throw EvictedError(what);
       return;
     }
@@ -119,178 +125,211 @@ void Node::wait_or_die(std::unique_lock<std::mutex>& lk, const char* what, Pred 
 // ----------------------------------------------------------------------
 
 void Node::run_delivery() {
-  while (auto m = fabric_.recv(self_)) {
-    obs::TraceSpan span("deliver", "net", {"kind", m->kind}, {"src", m->src});
-    // Close the message's flow inside the deliver span so the Perfetto
-    // arrow from its send binds to this slice.
-    obs::trace_flow_end("msg", "net", m->trace_id);
-    switch (m->kind) {
-      case kUpdate:
-        on_update(*m);
-        break;
-      case kBatch:
-        on_batch(*m);
-        break;
-      case kLockGrant: {
-        GrantInfo info;
-        info.episode = m->b;
-        info.prev_holders_mask = m->c;
-        info.release_vc = VectorClock(cfg_.num_procs);
-        // Directory mode ships BOTH payload forms: per-sender unlock counts
-        // first, then the merged release clock (see LockManager::send_grant).
-        const std::size_t vc_at = dir_mode_ ? cfg_.num_procs : 0;
-        MC_CHECK(m->payload.size() >= vc_at + cfg_.num_procs + 2 * m->d);
-        if (dir_mode_) {
-          info.counts = VectorClock(cfg_.num_procs);
-          for (ProcId p = 0; p < cfg_.num_procs; ++p) info.counts.set(p, m->payload[p]);
-        }
-        for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-          info.release_vc.set(p, m->payload[vc_at + p]);
-        }
-        for (std::uint64_t k = 0; k < m->d; ++k) {
-          info.invalid.emplace_back(
-              static_cast<VarId>(m->payload[vc_at + cfg_.num_procs + 2 * k]),
-              static_cast<net::Endpoint>(m->payload[vc_at + cfg_.num_procs + 2 * k + 1]));
-        }
-        info.trace_id = m->trace_id;
-        {
-          std::scoped_lock lk(mu_);
-          pending_grants_[static_cast<LockId>(m->a)] = std::move(info);
-        }
-        cv_.notify_all();
-        break;
+  std::vector<net::Message> inbox;
+  while (fabric_.recv_all(self_, inbox)) {
+    // cv_ waiters (reads, awaits, fills) re-check once per drained batch,
+    // and only when the batch changed the store; grant and release waits
+    // sleep on sync_cv_, so update traffic never wakes them.
+    bool applied = false;
+    for (std::size_t i = 0; i < inbox.size();) {
+      if (inbox[i].kind == kUpdate) {
+        // A run of updates lands under one mu_ hold with one readiness
+        // pass, before any grant or release behind it is acted on.
+        std::size_t end = i + 1;
+        while (end < inbox.size() && inbox[end].kind == kUpdate) ++end;
+        on_updates(std::span(inbox).subspan(i, end - i));
+        applied = true;
+        i = end;
+        continue;
       }
-      case kBarrierRelease: {
-        // Directory mode: transposed sent-counts first, merged clock second
-        // (see BarrierManager::maybe_release).
-        const std::size_t vc_at = dir_mode_ ? cfg_.num_procs : 0;
-        MC_CHECK(m->payload.size() == vc_at + cfg_.num_procs);
-        BarrierRelease rel;
-        rel.vc = VectorClock(cfg_.num_procs);
-        for (ProcId p = 0; p < cfg_.num_procs; ++p) rel.vc.set(p, m->payload[vc_at + p]);
-        if (dir_mode_) {
-          rel.counts = VectorClock(cfg_.num_procs);
-          for (ProcId p = 0; p < cfg_.num_procs; ++p) rel.counts.set(p, m->payload[p]);
-        }
-        rel.trace_id = m->trace_id;
-        {
-          std::scoped_lock lk(mu_);
-          barrier_release_[{static_cast<BarrierId>(m->a), m->b}] = std::move(rel);
-        }
-        cv_.notify_all();
-        break;
-      }
-      case kSyncReq: {
-        // FIFO channels guarantee the prober's earlier updates are already
-        // applied to our PRAM view; acknowledge immediately.
-        net::Message ack;
-        ack.src = self_;
-        ack.dst = m->src;
-        ack.kind = kSyncAck;
-        ack.a = m->a;
-        fabric_.send(std::move(ack));
-        break;
-      }
-      case kSyncAck: {
-        {
-          std::scoped_lock lk(mu_);
-          ++sync_acks_[m->a];
-        }
-        cv_.notify_all();
-        break;
-      }
-      case kFetchReq:
-        on_fetch_request(*m);
-        break;
-      case kViewPropose:
-        if (elastic_) on_view_propose(*m);
-        break;
-      case kViewCommit:
-        if (elastic_) on_view_commit(*m);
-        break;
-      case kViewState:
-        if (elastic_) on_view_state(*m);
-        break;
-      case kViewBarrierSync:
-        if (elastic_) on_view_barrier_sync(*m);
-        break;
-      case kViewHello:
-        if (elastic_) on_view_hello(*m);
-        break;
-      case kFetchBulkReq:
-        on_fetch_bulk_req(*m);
-        break;
-      case kFetchBulkResp:
-        on_fetch_bulk_resp(*m);
-        break;
-      case kDirSharerAdd:
-        on_dir_sharer_add(*m);
-        break;
-      case kDirAck:
-        on_dir_ack(*m);
-        break;
-      case kDirUnregister:
-        on_dir_unregister(*m);
-        break;
-      case kDirSharerDel:
-        on_dir_sharer_del(*m);
-        break;
-      case kFrontierReq: {
-        // Flush first, reply second, same channel: FIFO puts every staged
-        // write ahead of the frontier stamp, so the stamp's promise ("all
-        // my writes up to this counter are on the wire to you") holds.
-        net::Message resp;
-        resp.dst = m->src;
-        {
-          std::scoped_lock lk(mu_);
-          if (cfg_.batching.has_value()) flush_staged_locked();
-          resp.src = self_;
-          resp.kind = kFrontierResp;
-          resp.a = write_counter_;
-        }
-        fabric_.send(std::move(resp));
-        break;
-      }
-      case kFrontierResp: {
-        {
-          std::scoped_lock lk(mu_);
-          resolved_.set(static_cast<ProcId>(m->src),
-                        std::max(resolved_[static_cast<ProcId>(m->src)], m->a));
-        }
-        cv_.notify_all();
-        break;
-      }
-      case kDirSharerSync:
-        on_dir_sharer_sync(*m);
-        break;
-      case kDirWriterReq:
-        on_dir_writer_req(*m);
-        break;
-      case kDirWriterRow:
-        on_dir_writer_row(*m);
-        break;
-      case kFetchResp: {
-        FetchResult res;
-        res.value = m->c;
-        res.id = WriteId{static_cast<ProcId>(m->d), m->payload.empty() ? 0 : m->payload[0]};
-        res.vc = VectorClock(cfg_.num_procs);
-        MC_CHECK(m->payload.size() == 1 + cfg_.num_procs);
-        for (ProcId p = 0; p < cfg_.num_procs; ++p) res.vc.set(p, m->payload[1 + p]);
-        res.trace_id = m->trace_id;
-        {
-          std::scoped_lock lk(mu_);
-          fetch_results_[m->b] = std::move(res);
-        }
-        cv_.notify_all();
-        break;
-      }
-      default:
-        break;
+      applied |= inbox[i].kind == kBatch;
+      deliver(inbox[i]);
+      ++i;
     }
+    inbox.clear();
+    if (applied) cv_.notify_all();
   }
 }
 
-void Node::on_update(const net::Message& m) {
+void Node::deliver(const net::Message& m) {
+  obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
+  // Close the message's flow inside the deliver span so the Perfetto
+  // arrow from its send binds to this slice.
+  obs::trace_flow_end("msg", "net", m.trace_id);
+  switch (m.kind) {
+    case kBatch:
+      on_batch(m);
+      break;
+    case kLockGrant: {
+      GrantInfo info;
+      info.episode = m.b;
+      info.prev_holders_mask = m.c;
+      info.release_vc = VectorClock(cfg_.num_procs);
+      // Directory mode ships BOTH payload forms: per-sender unlock counts
+      // first, then the merged release clock (see LockManager::send_grant).
+      const std::size_t vc_at = dir_mode_ ? cfg_.num_procs : 0;
+      MC_CHECK(m.payload.size() >= vc_at + cfg_.num_procs + 2 * m.d);
+      if (dir_mode_) {
+        info.counts = VectorClock(cfg_.num_procs);
+        for (ProcId p = 0; p < cfg_.num_procs; ++p) info.counts.set(p, m.payload[p]);
+      }
+      for (ProcId p = 0; p < cfg_.num_procs; ++p) {
+        info.release_vc.set(p, m.payload[vc_at + p]);
+      }
+      for (std::uint64_t k = 0; k < m.d; ++k) {
+        info.invalid.emplace_back(
+            static_cast<VarId>(m.payload[vc_at + cfg_.num_procs + 2 * k]),
+            static_cast<net::Endpoint>(m.payload[vc_at + cfg_.num_procs + 2 * k + 1]));
+      }
+      info.trace_id = m.trace_id;
+      {
+        std::scoped_lock lk(mu_);
+        pending_grants_[static_cast<LockId>(m.a)] = std::move(info);
+      }
+      sync_cv_.notify_all();
+      break;
+    }
+    case kBarrierRelease: {
+      // Directory mode: transposed sent-counts first, merged clock second
+      // (see BarrierManager::maybe_release).
+      const std::size_t vc_at = dir_mode_ ? cfg_.num_procs : 0;
+      MC_CHECK(m.payload.size() == vc_at + cfg_.num_procs);
+      BarrierRelease rel;
+      rel.vc = VectorClock(cfg_.num_procs);
+      for (ProcId p = 0; p < cfg_.num_procs; ++p) rel.vc.set(p, m.payload[vc_at + p]);
+      if (dir_mode_) {
+        rel.counts = VectorClock(cfg_.num_procs);
+        for (ProcId p = 0; p < cfg_.num_procs; ++p) rel.counts.set(p, m.payload[p]);
+      }
+      rel.trace_id = m.trace_id;
+      {
+        std::scoped_lock lk(mu_);
+        barrier_release_[{static_cast<BarrierId>(m.a), m.b}] = std::move(rel);
+      }
+      sync_cv_.notify_all();
+      break;
+    }
+    case kSyncReq: {
+      // FIFO channels guarantee the prober's earlier updates are already
+      // applied to our PRAM view; acknowledge immediately.
+      net::Message ack;
+      ack.src = self_;
+      ack.dst = m.src;
+      ack.kind = kSyncAck;
+      ack.a = m.a;
+      fabric_.send(std::move(ack));
+      break;
+    }
+    case kSyncAck: {
+      {
+        std::scoped_lock lk(mu_);
+        ++sync_acks_[m.a];
+      }
+      cv_.notify_all();
+      break;
+    }
+    case kFetchReq:
+      on_fetch_request(m);
+      break;
+    case kViewPropose:
+      if (elastic_) on_view_propose(m);
+      break;
+    case kViewCommit:
+      if (elastic_) on_view_commit(m);
+      break;
+    case kViewState:
+      if (elastic_) on_view_state(m);
+      break;
+    case kViewBarrierSync:
+      if (elastic_) on_view_barrier_sync(m);
+      break;
+    case kViewHello:
+      if (elastic_) on_view_hello(m);
+      break;
+    case kFetchBulkReq:
+      on_fetch_bulk_req(m);
+      break;
+    case kFetchBulkResp:
+      on_fetch_bulk_resp(m);
+      break;
+    case kDirSharerAdd:
+      on_dir_sharer_add(m);
+      break;
+    case kDirAck:
+      on_dir_ack(m);
+      break;
+    case kDirUnregister:
+      on_dir_unregister(m);
+      break;
+    case kDirSharerDel:
+      on_dir_sharer_del(m);
+      break;
+    case kFrontierReq: {
+      // Flush first, reply second, same channel: FIFO puts every staged
+      // write ahead of the frontier stamp, so the stamp's promise ("all
+      // my writes up to this counter are on the wire to you") holds.
+      net::Message resp;
+      resp.dst = m.src;
+      {
+        std::scoped_lock lk(mu_);
+        if (cfg_.batching.has_value()) flush_staged_locked();
+        resp.src = self_;
+        resp.kind = kFrontierResp;
+        resp.a = write_counter_;
+      }
+      fabric_.send(std::move(resp));
+      break;
+    }
+    case kFrontierResp: {
+      {
+        std::scoped_lock lk(mu_);
+        resolved_.set(static_cast<ProcId>(m.src),
+                      std::max(resolved_[static_cast<ProcId>(m.src)], m.a));
+      }
+      cv_.notify_all();
+      break;
+    }
+    case kDirSharerSync:
+      on_dir_sharer_sync(m);
+      break;
+    case kDirWriterReq:
+      on_dir_writer_req(m);
+      break;
+    case kDirWriterRow:
+      on_dir_writer_row(m);
+      break;
+    case kFetchResp: {
+      FetchResult res;
+      res.value = m.c;
+      res.id = WriteId{static_cast<ProcId>(m.d), m.payload.empty() ? 0 : m.payload[0]};
+      res.vc = VectorClock(cfg_.num_procs);
+      MC_CHECK(m.payload.size() == 1 + cfg_.num_procs);
+      for (ProcId p = 0; p < cfg_.num_procs; ++p) res.vc.set(p, m.payload[1 + p]);
+      res.trace_id = m.trace_id;
+      {
+        std::scoped_lock lk(mu_);
+        fetch_results_[m.b] = std::move(res);
+      }
+      cv_.notify_all();
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+void Node::on_updates(std::span<const net::Message> run) {
+  std::scoped_lock lk(mu_);
+  for (const net::Message& m : run) {
+    obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
+    obs::trace_flow_end("msg", "net", m.trace_id);
+    apply_update_locked(m);
+    // One readiness pass for the whole run, inside its last deliver span.
+    if (&m == &run.back() && !cfg_.omit_timestamps) drain_causal_buffers();
+  }
+}
+
+void Node::apply_update_locked(const net::Message& m) {
   BatchRecord r;
   r.var = static_cast<VarId>(m.a);
   r.value = m.b;
@@ -304,7 +343,6 @@ void Node::on_update(const net::Message& m) {
     // selective multicast the writer sequence may skip values for this
     // receiver; it must still be monotone per channel.
     MC_CHECK(m.payload.empty());
-    std::scoped_lock lk(mu_);
     if (cfg_.update_subscribers.empty()) {
       MC_CHECK_MSG(r.seq == applied_[sender] + 1,
                    "per-sender FIFO violated on the update channel");
@@ -316,7 +354,6 @@ void Node::on_update(const net::Message& m) {
     mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, r.vc,
                received_from_[sender]);
     applied_.set(sender, r.seq);
-    cv_.notify_all();
     return;
   }
 
@@ -329,18 +366,13 @@ void Node::on_update(const net::Message& m) {
   r.vc = u.vc;
   u.recs.push_back(std::move(r));
 
-  {
-    std::scoped_lock lk(mu_);
-    // Arrival must stay FIFO per sender; application to the local copy
-    // happens in causally-ready order (drain_causal_buffers) for both
-    // read modes.
-    MC_CHECK_MSG(u.vc[sender] == update_arrived_[sender] + 1,
-                 "per-sender FIFO violated on the update channel");
-    update_arrived_.set(sender, u.vc[sender]);
-    causal_buffer_[sender].push_back(std::move(u));
-    drain_causal_buffers();
-  }
-  cv_.notify_all();
+  // Arrival must stay FIFO per sender; application to the local copy
+  // happens in causally-ready order (drain_causal_buffers) for both read
+  // modes.
+  MC_CHECK_MSG(u.vc[sender] == update_arrived_[sender] + 1,
+               "per-sender FIFO violated on the update channel");
+  update_arrived_.set(sender, u.vc[sender]);
+  causal_buffer_[sender].push_back(std::move(u));
 }
 
 void Node::on_batch(const net::Message& m) {
@@ -366,7 +398,6 @@ void Node::on_batch(const net::Message& m) {
                  received_from_[sender], /*force=*/false, r.weight);
     }
     applied_.set(sender, std::max(applied_[sender], max_seq));
-    cv_.notify_all();
     return;
   }
 
@@ -409,7 +440,6 @@ void Node::on_batch(const net::Message& m) {
     // The flush stamp: everything this sender addressed to us up to its
     // m.b-th write has now arrived (per-channel FIFO).
     resolved_.set(sender, std::max(resolved_[sender], m.b));
-    cv_.notify_all();
     return;
   }
 
@@ -426,7 +456,6 @@ void Node::on_batch(const net::Message& m) {
     causal_buffer_[sender].push_back(std::move(u));
     drain_causal_buffers();
   }
-  cv_.notify_all();
 }
 
 void Node::drain_causal_buffers() {
@@ -751,6 +780,7 @@ void Node::on_view_commit(const net::Message& m) {
     }
   }
   cv_.notify_all();
+  sync_cv_.notify_all();  // an evicted lock or barrier waiter must unwind
   lk.unlock();
   for (net::Message& dm : replay) {
     if (dm.kind == kFetchBulkReq) on_fetch_bulk_req(dm);
@@ -1614,15 +1644,21 @@ void Node::emit_op(history::Operation& op) {
 Value Node::read(VarId x, ReadMode mode) {
   MC_CHECK_MSG(!(cfg_.omit_timestamps && mode == ReadMode::kCausal),
                "causal reads require vector timestamps (Config::omit_timestamps)");
-  Stopwatch blocked;
+  const bool pram = mode == ReadMode::kPram;
+  // Sampled latency (docs/METRICS.md): the two clock reads cost more than
+  // an unblocked read, so only read #0, #61, #122, ... of each mode pays
+  // them.  The counters themselves stay exact.
+  const bool sampled =
+      (pram ? stats_.reads_pram : stats_.reads_causal).add() % kReadSampleEvery == 0;
+  const auto t0 = sampled ? std::chrono::steady_clock::now()
+                          : std::chrono::steady_clock::time_point{};
   std::unique_lock lk(mu_);
-  (mode == ReadMode::kPram ? stats_.reads_pram : stats_.reads_causal).add();
   if (profiler_ != nullptr) profiler_->record_read(x);
 
   const bool count_mode = cfg_.omit_timestamps;
   const VectorClock& applied = count_mode ? received_from_ : applied_;
   const VectorClock& floor = count_mode ? count_floor_
-                             : mode == ReadMode::kPram ? pram_floor_ : causal_floor_;
+                             : pram ? pram_floor_ : causal_floor_;
   // Directory mode blocks on two gates: the count floor against the
   // weighted receive index (everything peers addressed to us has landed)
   // and the read-label floor against the resolved frontier — applied_ alone
@@ -1641,6 +1677,7 @@ Value Node::read(VarId x, ReadMode mode) {
   };
   const bool was_ready = gate();
   if (!was_ready) {
+    const Stopwatch blocked;
     wait_or_die(lk, "read blocked past the liveness deadline", gate);
     const auto waited = blocked.elapsed();
     stats_.read_blocked.record(waited);
@@ -1666,8 +1703,10 @@ Value Node::read(VarId x, ReadMode mode) {
   const VarEntry& e = mem_.entry(x);
   const Value out = e.value;
   absorb_entry(e);
-  (mode == ReadMode::kPram ? stats_.read_pram_ns : stats_.read_causal_ns)
-      .record(blocked.elapsed());
+  if (sampled) {
+    (pram ? stats_.read_pram_ns : stats_.read_causal_ns)
+        .record(std::chrono::steady_clock::now() - t0);
+  }
 
   if (staleness_ != nullptr) {
     // How far the returned value trails the freshest write known anywhere:
@@ -1910,7 +1949,7 @@ void Node::barrier(BarrierId b) {
 
   std::unique_lock lk(mu_);
   const auto key = std::make_pair(b, epoch);
-  wait_or_die(lk, "barrier blocked past the liveness deadline",
+  wait_or_die(lk, sync_cv_, "barrier blocked past the liveness deadline",
               [&] { return barrier_release_.count(key) > 0; });
   const auto waited = blocked.elapsed();
   stats_.barrier_blocked.record(waited);
@@ -1968,7 +2007,7 @@ void Node::do_lock(LockId l, LockRequestKind kind) {
   const std::uint64_t trace_t0 = obs::trace_enabled() ? obs::Tracer::now_ns() : 0;
 
   std::unique_lock lk(mu_);
-  wait_or_die(lk, "lock acquisition blocked past the liveness deadline",
+  wait_or_die(lk, sync_cv_, "lock acquisition blocked past the liveness deadline",
               [&] { return pending_grants_.count(l) > 0; });
   const auto waited = blocked.elapsed();
   stats_.lock_blocked.record(waited);

@@ -29,6 +29,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -58,10 +59,12 @@ struct NodeStats {
   Counter fetches;
   LatencyHistogram read_blocked, await_blocked, lock_blocked, barrier_blocked,
       unlock_blocked;
-  /// Full end-to-end latency of each primitive (recorded on every call,
-  /// blocked or not) — surfaced through MixedSystem::metrics() as the
-  /// `read.pram_ns` / `read.causal_ns` / `await.spin_ns` / `lock.acquire_ns`
-  /// / `barrier.wait_ns` summaries of docs/METRICS.md.
+  /// Full end-to-end latency of each primitive, blocked or not — surfaced
+  /// through MixedSystem::metrics() as the `read.pram_ns` / `read.causal_ns`
+  /// / `await.spin_ns` / `lock.acquire_ns` / `barrier.wait_ns` summaries of
+  /// docs/METRICS.md.  Awaits, locks and barriers record every call; reads
+  /// record one call in Node::kReadSampleEvery per mode (the first always),
+  /// while reads_pram / reads_causal and read_blocked stay exact.
   LatencyHistogram read_pram_ns, read_causal_ns, await_spin_ns, lock_acquire_ns,
       barrier_wait_ns;
   /// Batched propagation (Config::batching; docs/METRICS.md `net.batch.*`):
@@ -111,6 +114,11 @@ class Node {
   Node& operator=(const Node&) = delete;
 
   [[nodiscard]] ProcId id() const { return self_; }
+
+  /// Read latency sampling period, per node and read mode: reads number
+  /// 0, k, 2k, ... of a mode are timed into read.<mode>_ns.  Prime, so the
+  /// sample does not lock onto a program's loop period.
+  static constexpr std::uint64_t kReadSampleEvery = 61;
 
   // ----- memory operations -----
 
@@ -273,7 +281,14 @@ class Node {
 
   // Delivery-thread handlers.
   void run_delivery();
-  void on_update(const net::Message& m);
+  /// Handle one message other than kUpdate (those arrive in runs).
+  void deliver(const net::Message& m);
+  /// Apply a run of consecutive kUpdates under one mu_ hold, then make one
+  /// causal readiness pass.
+  void on_updates(std::span<const net::Message> run);
+  /// Admit one kUpdate: applied at once in count mode, causal-buffered
+  /// otherwise.  Expects mu_; the caller drains the buffers.
+  void apply_update_locked(const net::Message& m);
   void on_batch(const net::Message& m);
   void drain_causal_buffers();
   void on_fetch_request(const net::Message& m);
@@ -371,8 +386,12 @@ class Node {
   /// the local copy.  Expects `lk` held; may release and reacquire it.
   void fetch_var(std::unique_lock<std::mutex>& lk, VarId x, net::Endpoint owner);
 
-  /// Wait with a liveness deadline: a consistency protocol that blocks for
-  /// this long is wedged, and tests want a crisp failure.
+  /// Wait on `cv` with a liveness deadline: a consistency protocol that
+  /// blocks for this long is wedged, and tests want a crisp failure.  The
+  /// short form waits on cv_.
+  template <typename Pred>
+  void wait_or_die(std::unique_lock<std::mutex>& lk, std::condition_variable& cv,
+                   const char* what, Pred pred);
   template <typename Pred>
   void wait_or_die(std::unique_lock<std::mutex>& lk, const char* what, Pred pred);
 
@@ -428,7 +447,13 @@ class Node {
   obs::ContentionProfiler* profiler_ = nullptr;
 
   mutable std::mutex mu_;
+  /// Store and protocol progress: notified once per delivered batch that
+  /// applied updates, and by the handlers of fetch, directory, view and
+  /// probe replies.
   std::condition_variable cv_;
+  /// Lock grants and barrier releases (and eviction), so update traffic
+  /// does not wake a blocked wlock or barrier.
+  std::condition_variable sync_cv_;
 
   // The single local copy of shared memory (the paper's "performed
   // locally").  Updates are applied in causally-ready order for *both*

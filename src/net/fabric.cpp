@@ -122,6 +122,15 @@ std::optional<Message> Fabric::recv(Endpoint e) {
   return mailboxes_[e]->recv();
 }
 
+bool Fabric::recv_all(Endpoint e, std::vector<Message>& out) {
+  MC_CHECK(e < mailboxes_.size());
+  if (!reliability_enabled()) return mailboxes_[e]->recv_all(out);
+  auto m = recv(e);
+  if (!m.has_value()) return false;
+  out.push_back(std::move(*m));
+  return true;
+}
+
 void Fabric::multicast(const Message& m, const std::vector<Endpoint>& dsts) {
   for (const Endpoint d : dsts) {
     Message copy = m;

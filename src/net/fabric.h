@@ -65,6 +65,13 @@ class Fabric {
   /// consumer thread per endpoint.
   std::optional<Message> recv(Endpoint e);
 
+  /// Batch receive for endpoint `e`: block until something is deliverable,
+  /// then append every deliverable message to `out` in delivery order
+  /// (Mailbox::recv_all).  The reliable stream still hands over one
+  /// message per call.  Returns false once the endpoint is closed and
+  /// drained.  One consumer thread per endpoint.
+  bool recv_all(Endpoint e, std::vector<Message>& out);
+
   /// Send a copy of `m` from `src` to every endpoint in `dsts`.
   void multicast(const Message& m, const std::vector<Endpoint>& dsts);
 

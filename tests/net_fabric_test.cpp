@@ -54,6 +54,75 @@ TEST(Mailbox, DrainsPendingMessagesAfterClose) {
   EXPECT_FALSE(f.mailbox(1).recv().has_value());
 }
 
+Message stamped(std::uint64_t a, SimTime due) {
+  Message m = make(0, 1, 1, a);
+  m.deliver_at = due;
+  return m;
+}
+
+TEST(Mailbox, RecvAllDrainsOnlyDeliverableMessagesInStampOrder) {
+  using namespace std::chrono_literals;
+  Mailbox box;
+  const SimTime now = std::chrono::steady_clock::now();
+  ASSERT_TRUE(box.push(stamped(1, now - 1ms)));
+  ASSERT_TRUE(box.push(stamped(2, now - 2ms)));
+  ASSERT_TRUE(box.push(stamped(3, now + 1h)));
+  ASSERT_TRUE(box.push(stamped(4, now - 2ms)));  // ties with 2: arrival order
+  std::vector<Message> out;
+  ASSERT_TRUE(box.recv_all(out));
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].a, 2u);
+  EXPECT_EQ(out[1].a, 4u);
+  EXPECT_EQ(out[2].a, 1u);
+  EXPECT_EQ(box.pending(), 1u);
+  EXPECT_FALSE(box.try_recv().has_value());
+}
+
+TEST(Mailbox, RecvAllDeliversPendingMessagesAfterCloseThenReturnsFalse) {
+  using namespace std::chrono_literals;
+  Mailbox box;
+  const SimTime now = std::chrono::steady_clock::now();
+  ASSERT_TRUE(box.push(stamped(1, now)));
+  ASSERT_TRUE(box.push(stamped(2, now + 30ms)));
+  box.close();
+  std::vector<Message> out{make(0, 1, 1, 99)};  // recv_all appends
+  ASSERT_TRUE(box.recv_all(out));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].a, 1u);
+  ASSERT_TRUE(box.recv_all(out));  // waits for the later stamp
+  EXPECT_GE(std::chrono::steady_clock::now() - now, 25ms);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[2].a, 2u);
+  EXPECT_FALSE(box.recv_all(out));
+  EXPECT_EQ(out.size(), 3u);
+}
+
+TEST(Mailbox, RecvAllWakesForAnEarlierMessageWhileParkedOnALaterOne) {
+  using namespace std::chrono_literals;
+  Mailbox box;
+  ASSERT_TRUE(box.push(stamped(1, std::chrono::steady_clock::now() + 1h)));
+  std::vector<Message> out;
+  std::thread consumer([&] { EXPECT_TRUE(box.recv_all(out)); });
+  std::this_thread::sleep_for(20ms);
+  EXPECT_TRUE(box.push(stamped(2, std::chrono::steady_clock::now())));
+  consumer.join();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].a, 2u);
+  EXPECT_EQ(box.pending(), 1u);
+}
+
+TEST(Mailbox, CloseWakesReceiverBlockedInRecvAll) {
+  Mailbox box;
+  std::thread consumer([&] {
+    std::vector<Message> out;
+    EXPECT_FALSE(box.recv_all(out));
+    EXPECT_TRUE(out.empty());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  box.close();
+  consumer.join();
+}
+
 TEST(Fabric, ChannelsAreFifoPerSenderUnderJitter) {
   LatencyModel lat;
   lat.base = std::chrono::microseconds(50);
