@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -25,6 +26,7 @@
 #include "history/causality.h"
 #include "history/checkers.h"
 #include "history/incremental_checker.h"
+#include "obs/tracer.h"
 
 using namespace mc;
 using namespace mc::bench;
@@ -78,8 +80,16 @@ History random_history(std::size_t procs, std::size_t ops_per_proc, std::uint64_
   return h;
 }
 
+/// Time `op` as one C6 row.  The measurement runs inside one trace span
+/// named after the row, so a traced run shows where each row's time went.
+template <typename F>
 void report(Harness& h, const char* name, std::size_t ops_per_proc, std::size_t history_ops,
-            const MicroResult& r) {
+            double min_ms, F&& op) {
+  MicroResult r;
+  {
+    const obs::TraceSpan span(name, "history", {"history_ops", history_ops});
+    r = measure_op(std::forward<F>(op), min_ms);
+  }
   std::printf("%-24s ops/proc=%-4zu history=%-5zu ops  %10.1f ns/op  "
               "(%llu iters in %.1fms)\n",
               name, ops_per_proc, history_ops, r.ns_per_op,
@@ -99,30 +109,23 @@ void checker_throughput(Harness& h) {
   std::printf("\n=== C6 — checker throughput (4 procs, random histories) ===\n");
   for (const std::size_t ops : sizes) {
     const auto hist = random_history(4, ops, 11);
-    report(h, "build-relations", ops, hist.size(),
-           measure_op([&] { do_not_optimize(build_relations(hist)); }, min_ms));
+    report(h, "build-relations", ops, hist.size(), min_ms,
+           [&] { do_not_optimize(build_relations(hist)); });
   }
   for (const std::size_t ops : sizes) {
     const auto hist = random_history(4, ops, 13);
     const auto rel = build_relations(hist);
-    report(h, "restrict-pram", ops, hist.size(),
-           measure_op([&] { do_not_optimize(restrict_pram(hist, *rel, 1)); }, min_ms));
+    report(h, "restrict-pram", ops, hist.size(), min_ms,
+           [&] { do_not_optimize(restrict_pram(hist, *rel, 1)); });
   }
   for (const std::size_t ops : sizes) {
     const auto hist = random_history(4, ops, 17);
-    report(h, "check-mixed-search", ops, hist.size(),
-           measure_op(
-               [&] {
-                 do_not_optimize(
-                     check_mixed_consistency(hist, CheckerBackend::kSearch));
-               },
-               min_ms));
-    report(h, "check-mixed-graph", ops, hist.size(),
-           measure_op(
-               [&] {
-                 do_not_optimize(check_mixed_consistency(hist, CheckerBackend::kGraph));
-               },
-               min_ms));
+    report(h, "check-mixed-search", ops, hist.size(), min_ms, [&] {
+      do_not_optimize(check_mixed_consistency(hist, CheckerBackend::kSearch));
+    });
+    report(h, "check-mixed-graph", ops, hist.size(), min_ms, [&] {
+      do_not_optimize(check_mixed_consistency(hist, CheckerBackend::kGraph));
+    });
   }
 }
 
@@ -244,14 +247,19 @@ void streaming_check(Harness& h) {
               target);
 
   for (const bool inject : {false, true}) {
-    const StreamVerdict r = stream_check(4, target, inject, inject ? 23 : 19);
+    const char* name = inject ? "stream-check-injected" : "stream-check-clean";
+    StreamVerdict r;
+    {
+      // One span per row, covering the whole feed and the finalize.
+      const obs::TraceSpan span(name, "history", {"target_ops", target});
+      r = stream_check(4, target, inject, inject ? 23 : 19);
+    }
     const double ops_per_sec = static_cast<double>(r.ops) / (r.wall_ms / 1e3);
     const bool expected =
         inject ? (!r.verdict.mixed.ok &&
                   r.verdict.mixed.message().find("stale") != std::string::npos)
                : r.verdict.ok();
-    std::printf("%-24s ops=%-8zu %8.1fms  %12.0f ops/sec  verdict=%s%s\n",
-                inject ? "stream-check-injected" : "stream-check-clean", r.ops,
+    std::printf("%-24s ops=%-8zu %8.1fms  %12.0f ops/sec  verdict=%s%s\n", name, r.ops,
                 r.wall_ms, ops_per_sec, r.verdict.ok() ? "ok" : "violation",
                 expected ? "" : "  ** UNEXPECTED **");
     if (!expected) {
@@ -260,7 +268,7 @@ void streaming_check(Harness& h) {
                                          : r.verdict.error.c_str());
       std::exit(1);
     }
-    auto& row = h.add_row(inject ? "stream-check-injected" : "stream-check-clean");
+    auto& row = h.add_row(name);
     row.params["procs"] = "4";
     row.params["target_ops"] = std::to_string(target);
     row.params["injected"] = inject ? "true" : "false";

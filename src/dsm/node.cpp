@@ -35,6 +35,7 @@ Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint lo
       received_from_(cfg.num_procs),
       count_floor_(cfg.num_procs),
       dir_mode_(cfg.directory.has_value()),
+      home_stride_((cfg.num_vars + cfg.num_procs - 1) / cfg.num_procs),
       elastic_(cfg.elastic),
       trace_(cfg.record_trace) {
   if (elastic_) {
@@ -952,13 +953,12 @@ void Node::leave() {
 // ----------------------------------------------------------------------
 
 bool Node::dir_managed(VarId x) const {
-  return dir_mode_ &&
-         cfg_.demand_association.find(x) == cfg_.demand_association.end();
+  return dir_mode_ && (cfg_.demand_association.empty() ||
+                       cfg_.demand_association.find(x) == cfg_.demand_association.end());
 }
 
 ProcId Node::static_home(VarId x) const {
-  const std::size_t stride = (cfg_.num_vars + cfg_.num_procs - 1) / cfg_.num_procs;
-  return static_cast<ProcId>(std::min<std::size_t>(x / stride, cfg_.num_procs - 1));
+  return static_cast<ProcId>(std::min<std::size_t>(x / home_stride_, cfg_.num_procs - 1));
 }
 
 ProcId Node::home_under(std::uint64_t mask, VarId x) const {
@@ -983,9 +983,17 @@ template <typename Take>
 std::vector<VarId> Node::same_home_frame(VarId x, std::size_t limit, Take take) const {
   const ProcId h = effective_home(x);
   std::vector<VarId> frame{x};
-  for (VarId y = 0; y < cfg_.num_vars && frame.size() < limit; ++y) {
-    if (y == x || !dir_managed(y) || effective_home(y) != h || !take(y)) continue;
-    frame.push_back(y);
+  // Homes are assigned per stripe (the elastic ring rule too), so only the
+  // stripes homed at h can contribute; they are visited in id order.
+  for (std::size_t first = 0; first < cfg_.num_vars && frame.size() < limit;
+       first += home_stride_) {
+    const auto begin = static_cast<VarId>(first);
+    if (effective_home(begin) != h) continue;
+    const auto end = static_cast<VarId>(std::min(first + home_stride_, cfg_.num_vars));
+    for (VarId y = begin; y < end && frame.size() < limit; ++y) {
+      if (y == x || !dir_managed(y) || !take(y)) continue;
+      frame.push_back(y);
+    }
   }
   return frame;
 }
@@ -1222,32 +1230,29 @@ void Node::on_fetch_bulk_resp(const net::Message& m) {
 void Node::enforce_budget_locked() {
   if (!dir_mode_ || cfg_.directory->replica_budget == 0) return;
   const std::size_t budget = cfg_.directory->replica_budget;
+  // Best effort: pinned replicas (homed variables, counters, in-flight
+  // fills) stay resident even over budget.  One pass suffices: evicting a
+  // replica changes no other replica's pin or tick, so the smallest
+  // (last_use, id) pairs are the victims, in the order that repeatedly
+  // evicting the least recently used replica would pick them.
+  std::vector<std::pair<std::uint64_t, VarId>> lru;
+  for (VarId x = 0; x < cfg_.num_vars; ++x) {
+    if (!dir_managed(x) || !cached_[x] || replica_pinned(x)) continue;
+    lru.emplace_back(last_use_[x], x);
+  }
+  if (lru.size() <= budget) return;
+  const auto victims_end = lru.end() - static_cast<std::ptrdiff_t>(budget);
+  std::partial_sort(lru.begin(), victims_end, lru.end());
   std::vector<std::vector<VarId>> dropped(cfg_.num_procs);
-  bool any = false;
-  for (;;) {
-    std::size_t unpinned = 0;
-    bool found = false;
-    VarId victim = 0;
-    for (VarId x = 0; x < cfg_.num_vars; ++x) {
-      if (!dir_managed(x) || !cached_[x] || replica_pinned(x)) continue;
-      ++unpinned;
-      if (!found || last_use_[x] < last_use_[victim]) {
-        victim = x;
-        found = true;
-      }
-    }
-    // Best effort: pinned replicas (homed variables, counters, in-flight
-    // fills) stay resident even over budget.
-    if (unpinned <= budget || !found) break;
+  for (auto it = lru.begin(); it != victims_end; ++it) {
+    const VarId victim = it->second;
     mem_.evict(victim);
     cached_[victim] = false;
     sharer_mask_[victim] &= ~(std::uint64_t{1} << self_);
     stats_.dir_evictions.add();
     if (profiler_ != nullptr) profiler_->record_eviction(victim);
     dropped[effective_home(victim)].push_back(victim);
-    any = true;
   }
-  if (!any) return;
   // Deregister with each home.  No drain fence is needed: a write already
   // in flight to us lands counted-but-unapplied (the replica is gone), and
   // a later refill's ack fence folds it into the snapshot baseline.
@@ -1389,6 +1394,21 @@ void Node::on_dir_writer_row(const net::Message& m) {
     }
   }
   cv_.notify_all();
+}
+
+bool Node::dir_gate_locked(const VectorClock& floor, VectorClock& pinged) {
+  // Directory mode blocks on two gates: the count floor against the
+  // weighted receive index (everything peers addressed to us has landed)
+  // and the read-label floor against the resolved frontier — applied_ alone
+  // cannot witness writes that travel to other sharers only; the fill ack
+  // fence covers those once resolved_ catches up (see node.h).
+  if (!floors_met(received_from_, count_floor_)) return false;
+  if (floors_met(resolved_, floor)) return true;
+  // A lagging component may never send to us again; probe it (once per
+  // floor level) so its flushed frontier unblocks the wait.
+  if (pinged.empty()) pinged = VectorClock(cfg_.num_procs);
+  ping_lagging_locked(floor, pinged);
+  return false;
 }
 
 void Node::ping_lagging_locked(const VectorClock& floor, VectorClock& pinged) {
@@ -1655,26 +1675,8 @@ Value Node::read(VarId x, ReadMode mode) {
   std::unique_lock lk(mu_);
   if (profiler_ != nullptr) profiler_->record_read(x);
 
-  const bool count_mode = cfg_.omit_timestamps;
-  const VectorClock& applied = count_mode ? received_from_ : applied_;
-  const VectorClock& floor = count_mode ? count_floor_
-                             : pram ? pram_floor_ : causal_floor_;
-  // Directory mode blocks on two gates: the count floor against the
-  // weighted receive index (everything peers addressed to us has landed)
-  // and the read-label floor against the resolved frontier — applied_ alone
-  // cannot witness writes that travel to other sharers only; the fill ack
-  // fence covers those once resolved_ catches up (see node.h).
   VectorClock pinged;
-  if (dir_mode_) pinged = VectorClock(cfg_.num_procs);
-  auto gate = [&] {
-    if (!dir_mode_) return floors_met(applied, floor);
-    if (!floors_met(received_from_, count_floor_)) return false;
-    if (floors_met(resolved_, floor)) return true;
-    // A lagging component may never send to us again; probe it (once per
-    // floor level) so its flushed frontier unblocks the wait.
-    ping_lagging_locked(floor, pinged);
-    return false;
-  };
+  auto gate = [&] { return read_gate_locked(mode, pinged); };
   const bool was_ready = gate();
   if (!was_ready) {
     const Stopwatch blocked;
@@ -1803,13 +1805,26 @@ void Node::do_delta(VarId x, Value amount, std::uint64_t flags) {
     // the home's absolute value over it.  Fill first; the installed entry
     // is delta_touched afterwards (counter pin), so it is never evicted and
     // the race cannot recur.
-    if (dir_managed(x)) {
-      // Register before filling: registration never lapses, while the
-      // replica could be swept out again during a later blocking wait.
-      if (!writer_reg_[x]) register_writer(lk, x);
-      while (!cached_[x]) request_fill(lk, x);
-      last_use_[x] = ++use_tick_;
+    //
+    // Then the causal gate, as for a causal read: every write the
+    // dependency clock covers must have landed here, or the delta's merged
+    // clock would make a still-in-flight predecessor lose the LWW
+    // comparison at this replica alone.  Both are re-checked after every
+    // blocking step, since a wait lets the replica be swept out and the
+    // floors move.
+    VectorClock pinged;
+    for (;;) {
+      if (dir_managed(x)) {
+        // Register before filling: registration never lapses, while the
+        // replica could be swept out again during a later blocking wait.
+        if (!writer_reg_[x]) register_writer(lk, x);
+        while (!cached_[x]) request_fill(lk, x);
+      }
+      if (read_gate_locked(ReadMode::kCausal, pinged)) break;
+      wait_or_die(lk, "delta blocked past the liveness deadline",
+                  [&] { return read_gate_locked(ReadMode::kCausal, pinged); });
     }
+    if (dir_managed(x)) last_use_[x] = ++use_tick_;
     const SeqNo seq = ++write_counter_;
     const WriteId id{self_, seq};
     dep_vc_.tick(self_);
@@ -1872,21 +1887,10 @@ void Node::await(VarId x, Value v, ReadMode mode) {
   }
   // Busy-wait loop of reads in the selected view (Section 6), realized as a
   // condition wait re-evaluated on every applied update.
-  const bool count_mode = cfg_.omit_timestamps;
-  const VectorClock& applied = count_mode ? received_from_ : applied_;
-  const VectorClock& floor = count_mode ? count_floor_
-                             : mode == ReadMode::kPram ? pram_floor_ : causal_floor_;
   VectorClock pinged;
-  if (dir_mode_) pinged = VectorClock(cfg_.num_procs);
-  auto gate = [&] {
-    if (!dir_mode_) return floors_met(applied, floor);
-    if (!floors_met(received_from_, count_floor_)) return false;
-    if (floors_met(resolved_, floor)) return true;
-    ping_lagging_locked(floor, pinged);  // see read()
-    return false;
-  };
-  wait_or_die(lk, "await blocked past the liveness deadline",
-              [&] { return gate() && mem_.entry(x).value == v; });
+  wait_or_die(lk, "await blocked past the liveness deadline", [&] {
+    return read_gate_locked(mode, pinged) && mem_.entry(x).value == v;
+  });
   const auto waited = blocked.elapsed();
   stats_.await_blocked.record(waited);
   stats_.await_spin_ns.record(waited);

@@ -318,7 +318,8 @@ class Node {
   /// applications, not refetchable), and fills still in flight.  Expects mu_.
   [[nodiscard]] bool replica_pinned(VarId x) const;
   /// x followed by up to `limit - 1` other directory-managed variables with
-  /// x's home for which `take(y)` holds, lowest ids first.  Expects mu_.
+  /// x's home for which `take(y)` holds, lowest ids first.  Visits only the
+  /// stripes homed where x is.  Expects mu_.
   template <typename Take>
   [[nodiscard]] std::vector<VarId> same_home_frame(VarId x, std::size_t limit,
                                                    Take take) const;
@@ -342,6 +343,21 @@ class Node {
   /// Evict least-recently-used unpinned replicas until the budget holds,
   /// deregistering each from its home.  Expects mu_.
   void enforce_budget_locked();
+  /// The visibility gate a read in `mode` waits on (Section 6): every write
+  /// its floor covers has landed here.  Directory mode also probes lagging
+  /// frontiers, remembering probed levels in `pinged` (start it empty and
+  /// keep it across re-evaluations).  Defined here so the full-replication
+  /// check stays inline on the read fast path.  Expects mu_.
+  [[nodiscard]] bool read_gate_locked(ReadMode mode, VectorClock& pinged) {
+    const bool count_mode = cfg_.omit_timestamps;
+    const VectorClock& floor = count_mode               ? count_floor_
+                               : mode == ReadMode::kPram ? pram_floor_
+                                                         : causal_floor_;
+    if (!dir_mode_) return floors_met(count_mode ? received_from_ : applied_, floor);
+    return dir_gate_locked(floor, pinged);
+  }
+  /// read_gate_locked's directory-mode half.  Expects mu_.
+  [[nodiscard]] bool dir_gate_locked(const VectorClock& floor, VectorClock& pinged);
   /// Send one kFrontierReq to every alive component whose resolved frontier
   /// lags `floor` and has not been probed at this floor yet (`pinged`
   /// remembers probed levels across predicate re-evaluations).  Expects mu_.
@@ -499,6 +515,8 @@ class Node {
 
   // Directory state (Config::directory; guarded by mu_).
   const bool dir_mode_;
+  /// Stripe width of the static home assignment: ceil(num_vars / num_procs).
+  const std::size_t home_stride_;
   /// Directory rows: bit p of sharer_mask_[x] set means process p holds a
   /// demand-paged replica of x.  The home's rows for its homed variables
   /// are the authority; a registered writer of x mirrors x's row, because

@@ -100,7 +100,9 @@ TEST(ScBaseline, BarrierFlushesAllPreBarrierWrites) {
 
 TEST(ScBaseline, WritesCostSequencerRoundTripMessages) {
   ScSystem sys(small(3));
-  sys.node(0).write(0, 1);
+  // The sequencer multicasts to nodes 0, 1, 2 in turn, so the write of the
+  // last node returns only after all three copies were sent (and counted).
+  sys.node(2).write(0, 1);
   const auto snap = sys.metrics();
   EXPECT_EQ(snap.get("net.msg.sc_write"), 1u);
   EXPECT_EQ(snap.get("net.msg.sc_ordered"), 3u);  // rebroadcast to all

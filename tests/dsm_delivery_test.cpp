@@ -1,7 +1,8 @@
-// The delivery thread's batch contract and the read path's sampled timing,
-// driven message by message: the test plays the peer process and the lock
-// manager on a bare fabric, so it decides exactly which messages reach the
-// node under test together, and when.
+// The delivery thread's batch contract, the read path's sampled timing and
+// the causal gate on local deltas, driven message by message: the test
+// plays the peer process and the lock manager on a bare fabric, so it
+// decides exactly which messages reach the node under test together, and
+// when.
 
 #include <gtest/gtest.h>
 
@@ -156,6 +157,30 @@ TEST(DsmDelivery, UnsampledReadThatBlocksIsStillTimed) {
   EXPECT_GE(st.read_blocked.sum_ns(),
             static_cast<std::uint64_t>(std::chrono::nanoseconds(20ms).count()));
   EXPECT_GE(st.total_blocked_ns(), st.read_blocked.sum_ns());
+}
+
+TEST(DsmDelivery, DeltaWaitsForTheWriteItsClockCovers) {
+  // The grant's release clock covers the peer's write x3 := 10, which is
+  // still in flight.  Applied at once, the delta's merged clock would
+  // make that write compare as older and be dropped here alone (value -1
+  // where every other replica holds 9); gated like a causal read, the
+  // delta lands on top of it.
+  Scripted s;
+  std::atomic<bool> decrementing{false};
+  std::int64_t got = 0;
+  std::thread app([&] {
+    s.node.wlock(0);
+    decrementing.store(true);
+    s.node.dec_int(3, 1);
+    got = s.node.read_int(3, ReadMode::kCausal);
+  });
+  s.expect_lock_request();
+  EXPECT_TRUE(s.fabric.mailbox(kSelf).push(Scripted::grant(0, 1)));
+  while (!decrementing.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(30ms);
+  EXPECT_TRUE(s.fabric.mailbox(kSelf).push(Scripted::peer_write(3, 10, 1)));
+  app.join();
+  EXPECT_EQ(got, 9);
 }
 
 }  // namespace

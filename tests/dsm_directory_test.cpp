@@ -244,6 +244,45 @@ TEST(Directory, PrefetchCappedByBudget) {
   });
 }
 
+TEST(Directory, OneSweepEvictsTheLeastRecentlyUsedPair) {
+  // 3 procs, 12 vars: 0..3 homed at p0, 4..7 at p1.  p2 caches three
+  // replicas (budget 3, frame 2), re-reads them to set their recency, then
+  // one fill of a two-variable frame must evict exactly the two least
+  // recently used in a single sweep and leave the most recent one resident.
+  MixedSystem sys(dir_config(3, 12, /*budget=*/3, /*fetch_frame=*/2));
+  sys.run([](Node& n, ProcId p) {
+    if (p != 2) {
+      for (VarId x = 4 * p; x < 4 * p + 4; ++x) n.write_int(x, 100 + x);
+      n.barrier();
+      n.barrier();
+      return;
+    }
+    n.barrier();
+    const auto fills = [&] { return n.stats().dir_fills.get(); };
+    const auto evictions = [&] { return n.stats().dir_evictions.get(); };
+    const auto read = [&](VarId x) { EXPECT_EQ(n.read_int(x, ReadMode::kPram), 100 + x); };
+    read(0);  // fill {0, 1}
+    read(4);  // fill {4, 5}; evicts 1, the older of the first frame
+    EXPECT_EQ(fills(), 2u);
+    EXPECT_EQ(evictions(), 1u);
+    // Resident {0, 4, 5}; hits that leave the recency order 5 < 0 < 4.
+    read(5);
+    read(0);
+    read(4);
+    EXPECT_EQ(fills(), 2u);
+    read(2);  // fill {2, 1}: five replicas over a budget of three
+    EXPECT_EQ(fills(), 3u);
+    EXPECT_EQ(evictions(), 3u);
+    read(4);  // the survivor is still resident
+    EXPECT_EQ(fills(), 3u);
+    read(5);  // each victim faults again
+    EXPECT_EQ(fills(), 4u);
+    read(0);
+    EXPECT_EQ(fills(), 5u);
+    n.barrier();
+  });
+}
+
 // ----------------------------------------------------------------------
 // Writer-scoped rows: registration, fence and row-change audiences
 // ----------------------------------------------------------------------
@@ -643,6 +682,41 @@ TEST(ElasticDirectory, GracefulLeavePurgesDepartedSharers) {
   EXPECT_TRUE(verdict.well_formed) << verdict.error;
   EXPECT_TRUE(verdict.causal.ok && verdict.pram.ok && verdict.mixed.ok);
   EXPECT_FALSE(mon.status().structural_failed);
+}
+
+TEST(ElasticDirectory, FramesSpanStripesRehomedByALeave) {
+  // 3 procs, 12 vars: p2's stripe 8..11 re-homes to its ring successor p0
+  // when p2 leaves, so p0 then homes 0..3 and 8..11.  With frame 3, p1's
+  // reads of all eight take ceil(8 / 3) = 3 fills: {0,1,2}, {3,8,9} (a
+  // frame spanning both of p0's stripes) and {10,11}.
+  Config cfg = dir_config(3, 12, /*budget=*/0, /*fetch_frame=*/3);
+  cfg.elastic = true;
+  MixedSystem sys(cfg);
+  const std::vector<VarId> homed_at_p0{0, 1, 2, 3, 8, 9, 10, 11};
+  const auto outcome = sys.run(
+      [&](Node& n, ProcId p) {
+        if (p != 1) {
+          for (VarId x = 4 * p; x < 4 * p + 4; ++x) n.write_int(x, 100 + x);
+        }
+        n.barrier();
+        if (p == 2) {
+          n.leave();
+          return;
+        }
+        while (n.view().epoch == 0) std::this_thread::sleep_for(200us);
+        n.barrier();
+        if (p == 1) {
+          const std::uint64_t before = n.stats().dir_fills.get();
+          for (const VarId x : homed_at_p0) {
+            EXPECT_EQ(n.read_int(x, ReadMode::kPram), 100 + x);
+          }
+          EXPECT_EQ(n.stats().dir_fills.get() - before, 3u);
+        }
+        n.barrier();
+      },
+      30s);
+  EXPECT_FALSE(outcome.stalled) << outcome.diagnostics.reason;
+  EXPECT_EQ(sys.metrics().get("view.leaves"), 1u);
 }
 
 TEST(ElasticDirectory, LiveJoinReceivesSharerMapAndRehomedVariables) {
