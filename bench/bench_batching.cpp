@@ -4,8 +4,10 @@
 // equation solver with the reliability layer on a *clean* fabric (so every
 // message is protocol cost, none is repair):
 //
-//   unbatched-ack1  — the C11 "reliable" configuration: one kUpdate fan-out
-//                     per write, one standalone ack per delivery.
+//   unbatched-ack1  — the C11 "reliable" configuration: one one-record
+//                     frame per write per destination
+//                     (BatchingConfig::per_write()), one standalone ack per
+//                     delivery.
 //   batch8-ack1     — coalesced kBatch frames (≤8 records), classic acks.
 //   batch32-ack1    — bigger frames; the per-message floor amortizes more.
 //   batch32-ack8    — frames plus delayed cumulative acks (stride 8): the
@@ -34,7 +36,7 @@ namespace {
 
 struct Variant {
   const char* name;
-  std::optional<dsm::BatchingConfig> batching;
+  dsm::BatchingConfig batching;
   std::uint64_t ack_every = 1;
 };
 
@@ -44,11 +46,11 @@ std::vector<Variant> variants() {
   dsm::BatchingConfig big;
   big.max_updates = 32;
   return {
-      {"unbatched-ack1", std::nullopt, 1},
+      {"unbatched-ack1", dsm::BatchingConfig::per_write(), 1},
       {"batch8-ack1", small, 1},
       {"batch32-ack1", big, 1},
       {"batch32-ack8", big, 8},
-      {"unbatched-ack8", std::nullopt, 8},
+      {"unbatched-ack8", dsm::BatchingConfig::per_write(), 8},
   };
 }
 
@@ -87,7 +89,7 @@ void solver_table(Harness& h) {
   const LinearSystem sys = LinearSystem::random(n, 1000 + n);
   print_header("C12 — batched update propagation: Figure 2 solver, reliable "
                "clean fabric",
-               "unbatched vs kBatch frames vs delayed cumulative acks; expect "
+               "per-write vs batched frames vs delayed cumulative acks; expect "
                "≥3x fewer messages and ack/data ≤0.2 with the full stack");
   for (const Variant& v : variants()) {
     SolverOptions opt;
@@ -114,9 +116,9 @@ void em2d_table(Harness& h) {
                "interval; ack stride fixed at 1");
   const struct {
     const char* name;
-    std::optional<dsm::BatchingConfig> batching;
+    dsm::BatchingConfig batching;
   } rows[] = {
-      {"unbatched", std::nullopt},
+      {"unbatched", dsm::BatchingConfig::per_write()},
       {"batch32", dsm::BatchingConfig{.max_updates = 32}},
   };
   for (const auto& v : rows) {

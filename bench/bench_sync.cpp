@@ -52,7 +52,7 @@ void lock_policy_case(Harness& h, LockPolicy policy, std::size_t procs, int roun
   std::printf("%-8s procs=%zu rounds=%d time=%8.2fms msgs=%-8llu bytes=%-10llu "
               "updates=%-6llu syncs=%-5llu fetches=%-5llu blocked=%8.2fms\n",
               to_string(policy), procs, rounds, ms, msgs(m), bytes(m),
-              static_cast<unsigned long long>(m.get("net.msg.update")),
+              static_cast<unsigned long long>(m.get("net.msg.batch")),
               static_cast<unsigned long long>(m.get("net.msg.sync_req")),
               static_cast<unsigned long long>(m.get("net.msg.fetch_req")),
               blocked_ms(m));

@@ -56,12 +56,12 @@ struct CholeskyOptions {
   /// schedule-dependent update ordering).
   std::optional<ProcId> crash_proc;
 
-  /// Batched update propagation (Config::batching).  The counter variant
-  /// exercises delta-sum coalescing; the lock variant flush-on-unlock.
-  std::optional<dsm::BatchingConfig> batching;
+  /// Update staging and framing (Config::batching; per_write() by default).
+  /// Batched, the counter variant exercises delta-sum coalescing and the
+  /// lock variant flush-on-unlock.
+  dsm::BatchingConfig batching = dsm::BatchingConfig::per_write();
 
-  /// Directory-based partial replication (Config::directory; requires
-  /// `batching`).  The counter variant additionally exercises delta
+  /// Directory-based partial replication (Config::directory).  The counter variant additionally exercises delta
   /// write-allocation (a delta to an uncached variable fills first).
   std::optional<dsm::DirectoryConfig> directory;
 

@@ -58,14 +58,15 @@ struct SolverOptions {
   /// sweeps against the batching configuration.
   net::ReliabilityConfig reliability;
 
-  /// Batched update propagation (Config::batching): coalesce and frame the
-  /// per-write broadcasts.  Flush-on-sync keeps every variant correct.
-  std::optional<dsm::BatchingConfig> batching;
+  /// Update staging and framing (Config::batching): per_write() is the
+  /// paper's per-write broadcast; a batched config coalesces and frames the
+  /// writes.  Flush-on-sync keeps every variant correct.
+  dsm::BatchingConfig batching = dsm::BatchingConfig::per_write();
 
-  /// Directory-based partial replication (Config::directory; requires
-  /// `batching`): updates multicast only to registered sharers, replicas
-  /// demand-page in, cold replicas evict under the budget.  Converged
-  /// results are bitwise-identical to full replication.
+  /// Directory-based partial replication (Config::directory): updates
+  /// multicast only to registered sharers, replicas demand-page in, cold
+  /// replicas evict under the budget.  Converged results are
+  /// bitwise-identical to full replication.
   std::optional<dsm::DirectoryConfig> directory;
 
   /// Observer hook, called with the constructed MixedSystem before any

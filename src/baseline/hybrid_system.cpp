@@ -2,24 +2,13 @@
 
 #include <chrono>
 
+#include "baseline/liveness.h"
 #include "common/check.h"
 #include "obs/tracer.h"
 
 namespace mc::baseline {
 
-using namespace std::chrono_literals;
-
 namespace {
-constexpr auto kLivenessDeadline = 30s;
-
-template <typename Pred>
-void wait_or_die(std::condition_variable& cv, std::unique_lock<std::mutex>& lk,
-                 const char* what, Pred pred) {
-  if (!cv.wait_for(lk, kLivenessDeadline, pred)) {
-    MC_CHECK_MSG(false, what);
-  }
-}
-
 void register_hybrid_kind_names(net::Fabric& fabric) {
   fabric.name_kind(kHybridWeak, "hy_weak");
   fabric.name_kind(kHybridStrongWrite, "hy_strong_write");

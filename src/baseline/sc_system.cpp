@@ -2,24 +2,11 @@
 
 #include <chrono>
 
+#include "baseline/liveness.h"
 #include "common/check.h"
 #include "obs/tracer.h"
 
 namespace mc::baseline {
-
-using namespace std::chrono_literals;
-
-namespace {
-constexpr auto kLivenessDeadline = 30s;
-
-template <typename Pred>
-void wait_or_die(std::condition_variable& cv, std::unique_lock<std::mutex>& lk,
-                 const char* what, Pred pred) {
-  if (!cv.wait_for(lk, kLivenessDeadline, pred)) {
-    MC_CHECK_MSG(false, what);
-  }
-}
-}  // namespace
 
 ScNode::ScNode(const ScConfig& cfg, ProcId self, net::Fabric& fabric,
                net::Endpoint sequencer)

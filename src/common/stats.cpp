@@ -11,9 +11,9 @@ int LatencyHistogram::bucket_of(std::uint64_t ns) {
   return lg >= kBuckets ? kBuckets - 1 : lg;
 }
 
-void LatencyHistogram::record_ns(std::uint64_t ns) {
-  buckets_[bucket_of(ns)].fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(ns, std::memory_order_relaxed);
+void LatencyHistogram::record_ns(std::uint64_t ns, std::uint64_t times) {
+  buckets_[bucket_of(ns)].fetch_add(times, std::memory_order_relaxed);
+  sum_.fetch_add(ns * times, std::memory_order_relaxed);
   std::uint64_t prev = max_.load(std::memory_order_relaxed);
   while (prev < ns &&
          !max_.compare_exchange_weak(prev, ns, std::memory_order_relaxed)) {

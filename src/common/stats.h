@@ -35,7 +35,8 @@ class Counter {
 class LatencyHistogram {
  public:
   void record(std::chrono::nanoseconds d) { record_ns(static_cast<std::uint64_t>(d.count())); }
-  void record_ns(std::uint64_t ns);
+  /// Record `times` samples of value `ns` at once.
+  void record_ns(std::uint64_t ns, std::uint64_t times = 1);
 
   [[nodiscard]] std::uint64_t count() const;
   [[nodiscard]] std::uint64_t sum_ns() const { return sum_.load(std::memory_order_relaxed); }

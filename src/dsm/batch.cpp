@@ -21,16 +21,22 @@ net::Message encode_batch(const std::vector<BatchRecord>& recs, std::size_t num_
   net::Message m;
   m.kind = kBatch;
   m.a = recs.size();
+  // One allocation: at most 6 fixed and optional words plus a full clock
+  // delta per record, after the base clock.
+  const std::size_t clock_words = omit_timestamps ? 0 : num_procs;
+  m.payload.reserve(clock_words + recs.size() * (7 + clock_words));
 
-  std::vector<std::uint64_t> base;
   if (!omit_timestamps) {
     MC_CHECK_MSG(num_procs <= 64, "batch clock-delta masks assume <= 64 processes");
-    base.assign(num_procs, std::numeric_limits<std::uint64_t>::max());
+    // The base clock is computed in place, in payload words 0 .. P-1.
+    m.payload.assign(num_procs, std::numeric_limits<std::uint64_t>::max());
     for (const BatchRecord& r : recs) {
       MC_CHECK(r.vc.size() == num_procs);
-      for (ProcId p = 0; p < num_procs; ++p) base[p] = std::min(base[p], r.vc[p]);
+      const auto vc = r.vc.components();
+      for (std::size_t p = 0; p < num_procs; ++p) {
+        m.payload[p] = std::min(m.payload[p], vc[p]);
+      }
     }
-    m.payload.insert(m.payload.end(), base.begin(), base.end());
   }
 
   for (const BatchRecord& r : recs) {
@@ -45,13 +51,14 @@ net::Message encode_batch(const std::vector<BatchRecord>& recs, std::size_t num_
     if (r.flags & kFlagHasEpoch) m.payload.push_back(r.epoch);
     if (r.flags & kFlagHasBaseline) m.payload.push_back(r.baseline);
     if (omit_timestamps) continue;
+    const auto vc = r.vc.components();
     std::uint64_t mask = 0;
-    for (ProcId p = 0; p < num_procs; ++p) {
-      if (r.vc[p] != base[p]) mask |= std::uint64_t{1} << p;
+    for (std::size_t p = 0; p < num_procs; ++p) {
+      if (vc[p] != m.payload[p]) mask |= std::uint64_t{1} << p;
     }
     m.payload.push_back(mask);
-    for (ProcId p = 0; p < num_procs; ++p) {
-      if (mask & (std::uint64_t{1} << p)) m.payload.push_back(r.vc[p] - base[p]);
+    for (std::size_t p = 0; p < num_procs; ++p) {
+      if ((mask >> p & 1) != 0) m.payload.push_back(vc[p] - m.payload[p]);
     }
   }
   return m;
@@ -64,17 +71,15 @@ std::vector<BatchRecord> decode_batch(const net::Message& m, std::size_t num_pro
   MC_CHECK(n >= 1);
   std::vector<BatchRecord> recs;
   recs.reserve(n);
+  // The base clock is read in place, from payload words 0 .. P-1.
   std::size_t i = 0;
-  VectorClock base;
   if (!omit_timestamps) {
-    MC_CHECK(m.payload.size() >= num_procs);
-    base = VectorClock(num_procs);
-    for (ProcId p = 0; p < num_procs; ++p) base.set(p, m.payload[p]);
+    MC_CHECK(num_procs <= 64 && m.payload.size() >= num_procs);
     i = num_procs;
   }
   for (std::size_t k = 0; k < n; ++k) {
     MC_CHECK(i + 3 <= m.payload.size());
-    BatchRecord r;
+    BatchRecord& r = recs.emplace_back();
     const std::uint64_t w0 = m.payload[i++];
     r.var = static_cast<VarId>(w0 & ((std::uint64_t{1} << kVarBits) - 1));
     r.flags = (w0 >> kVarBits) & ((std::uint64_t{1} << kFlagBits) - 1);
@@ -97,12 +102,11 @@ std::vector<BatchRecord> decode_batch(const net::Message& m, std::size_t num_pro
       MC_CHECK(i < m.payload.size());
       const std::uint64_t mask = m.payload[i++];
       MC_CHECK(i + static_cast<std::size_t>(std::popcount(mask)) <= m.payload.size());
-      r.vc = base;
+      r.vc = VectorClock(num_procs);
       for (ProcId p = 0; p < num_procs; ++p) {
-        if (mask & (std::uint64_t{1} << p)) r.vc.set(p, base[p] + m.payload[i++]);
+        r.vc.set(p, m.payload[p] + ((mask >> p & 1) != 0 ? m.payload[i++] : 0));
       }
     }
-    recs.push_back(std::move(r));
   }
   MC_CHECK(i == m.payload.size());
   return recs;

@@ -1,5 +1,6 @@
-// Framed wire batches: N coalesced memory updates in one kBatch Message
-// (Config::batching; DESIGN.md §6.3).
+// Framed wire batches: N (possibly coalesced) memory updates in one kBatch
+// Message, the only update wire path (Config::batching; DESIGN.md §6.3).
+// The paper's per-write broadcast is a one-record frame.
 //
 // Payload layout, vector-clock mode (P = num_procs, P <= 64):
 //
@@ -28,8 +29,9 @@
 // codec with the optional words carrying per-variable install metadata.
 //
 // The payload holds exactly the words a real wire format would ship, so
-// Message::wire_bytes() (header + payload) charges the delta-encoded size —
-// never the P full clocks an unbatched kUpdate stream would have carried.
+// Message::wire_bytes() (header + payload) charges the delta-encoded size.
+// A one-record frame costs P + 4 words in vector-clock mode (base clock,
+// three record words, an all-zero delta mask) and 3 words in count mode.
 //
 // `weight` counts how many original updates were coalesced into the record
 // (last-writer-wins writes, summed deltas).  Count-vector receivers advance

@@ -40,16 +40,17 @@ enum class LockPolicy : std::uint8_t {
   return "?";
 }
 
-/// Batched update propagation (Section 6: "the access pattern of the
-/// application can be used to reduce the communication cost"; Munin-style
-/// write coalescing, see DESIGN.md §6.3).  Updates destined for the same
-/// endpoint accumulate in a per-channel staging buffer and ship as one
-/// framed kBatch message.  Staged plain writes to the same variable
-/// collapse last-writer-wins and staged deltas merge by summation, so a
-/// flush can carry far fewer records than the writes it covers.  The node
-/// flushes unconditionally before every synchronization action (lock
-/// release, barrier arrival, await, demand-fetch service), which is what
-/// keeps Theorem 1's sufficient conditions intact — see DESIGN.md.
+/// Update propagation (Section 6: "the access pattern of the application
+/// can be used to reduce the communication cost"; Munin-style write
+/// coalescing, see DESIGN.md §6.3).  Updates destined for the same endpoint
+/// accumulate in a per-channel staging buffer and ship as one framed kBatch
+/// message.  Staged plain writes to the same variable collapse
+/// last-writer-wins and staged deltas merge by summation, so a flush can
+/// carry far fewer records than the writes it covers.  The node flushes
+/// unconditionally before every synchronization action (lock release,
+/// barrier arrival, await, demand-fetch service), which is what keeps
+/// Theorem 1's sufficient conditions intact — see DESIGN.md.  The defaults
+/// batch; per_write() is the paper's naive broadcast.
 struct BatchingConfig {
   /// Flush once any destination's staging buffer holds this many records.
   std::size_t max_updates = 16;
@@ -63,6 +64,15 @@ struct BatchingConfig {
   /// Collapse same-variable same-kind staged records (writes last-writer-
   /// wins, deltas by summation).  Off: batching only frames, never merges.
   bool coalesce = true;
+
+  /// Each write ships at once as a one-record frame per destination.
+  [[nodiscard]] static constexpr BatchingConfig per_write() {
+    BatchingConfig b;
+    b.max_updates = 1;
+    b.max_delay = std::chrono::nanoseconds::zero();
+    b.coalesce = false;
+    return b;
+  }
 };
 
 /// Directory-based partial replication (docs/DIRECTORY.md).  Every variable
@@ -101,10 +111,10 @@ struct Config {
   bool reliable = false;
   net::ReliabilityConfig reliability;
 
-  /// Coalesce and frame update broadcasts into kBatch messages (see
-  /// BatchingConfig above).  Absent by default: every write is its own
-  /// kUpdate fan-out, matching the paper's naive Section 6 sketch.
-  std::optional<BatchingConfig> batching;
+  /// How update broadcasts are staged and framed (see BatchingConfig
+  /// above).  Defaults to per_write(): every write is its own one-record
+  /// fan-out, matching the paper's naive Section 6 sketch.
+  BatchingConfig batching = BatchingConfig::per_write();
 
   LockPolicy default_lock_policy = LockPolicy::kLazy;
   std::map<LockId, LockPolicy> lock_policy_override;
@@ -150,7 +160,7 @@ struct Config {
   /// "the extra overhead of sending a timestamp in each message and
   /// performing the updates in the timestamp order can be avoided if all
   /// read operations following a write are PRAM operations."  When set,
-  /// updates carry no vector clock (num_procs fewer words per message),
+  /// updates carry no vector clock (no base clock or clock-delta words),
   /// both views apply in arrival order, and the synchronization protocol
   /// switches to the paper's *count vectors*: barrier arrivals carry
   /// per-receiver sent-update counts which the manager transposes, and lazy
@@ -169,10 +179,8 @@ struct Config {
   std::map<VarId, std::vector<ProcId>> update_subscribers;
 
   /// Directory-based partial replication (see DirectoryConfig above).
-  /// Requires batching (fills reuse the batch codec and the staging
-  /// buffers carry the sharer-only multicast) and vector-clock mode;
-  /// incompatible with update_subscribers (the directory subsumes static
-  /// subscription).  Elastic membership is supported: view commits purge
+  /// Requires vector-clock mode; incompatible with update_subscribers (the
+  /// directory subsumes static subscription).  Elastic membership is supported: view commits purge
   /// departed sharers and re-home their variables.
   std::optional<DirectoryConfig> directory;
 

@@ -65,10 +65,8 @@ Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint lo
       if (!dir_managed(x) || static_home(x) == self_) writer_reg_[x] = true;
     }
   }
-  if (cfg_.batching.has_value()) {
-    staged_.resize(cfg_.num_procs);
-    flusher_ = std::thread([this] { run_flusher(); });
-  }
+  staged_.resize(cfg_.num_procs);
+  flusher_ = std::thread([this] { run_flusher(); });
   delivery_ = std::thread([this] { run_delivery(); });
 }
 
@@ -133,17 +131,16 @@ void Node::run_delivery() {
     // sleep on sync_cv_, so update traffic never wakes them.
     bool applied = false;
     for (std::size_t i = 0; i < inbox.size();) {
-      if (inbox[i].kind == kUpdate) {
-        // A run of updates lands under one mu_ hold with one readiness
-        // pass, before any grant or release behind it is acted on.
+      if (inbox[i].kind == kBatch) {
+        // A run of update frames lands under one mu_ hold with one
+        // readiness pass, before any grant or release behind it is acted on.
         std::size_t end = i + 1;
-        while (end < inbox.size() && inbox[end].kind == kUpdate) ++end;
-        on_updates(std::span(inbox).subspan(i, end - i));
+        while (end < inbox.size() && inbox[end].kind == kBatch) ++end;
+        on_frames(std::span(inbox).subspan(i, end - i));
         applied = true;
         i = end;
         continue;
       }
-      applied |= inbox[i].kind == kBatch;
       deliver(inbox[i]);
       ++i;
     }
@@ -158,9 +155,6 @@ void Node::deliver(const net::Message& m) {
   // arrow from its send binds to this slice.
   obs::trace_flow_end("msg", "net", m.trace_id);
   switch (m.kind) {
-    case kBatch:
-      on_batch(m);
-      break;
     case kLockGrant: {
       GrantInfo info;
       info.episode = m.b;
@@ -273,7 +267,7 @@ void Node::deliver(const net::Message& m) {
       resp.dst = m.src;
       {
         std::scoped_lock lk(mu_);
-        if (cfg_.batching.has_value()) flush_staged_locked();
+        flush_staged_locked();
         resp.src = self_;
         resp.kind = kFrontierResp;
         resp.a = write_counter_;
@@ -319,77 +313,48 @@ void Node::deliver(const net::Message& m) {
   }
 }
 
-void Node::on_updates(std::span<const net::Message> run) {
-  std::scoped_lock lk(mu_);
+void Node::on_frames(std::span<const net::Message> run) {
+  std::vector<std::vector<BatchRecord>> decoded;
+  decoded.reserve(run.size());
   for (const net::Message& m : run) {
+    decoded.push_back(decode_batch(m, cfg_.num_procs, cfg_.omit_timestamps));
+  }
+  std::scoped_lock lk(mu_);
+  for (std::size_t k = 0; k < run.size(); ++k) {
+    const net::Message& m = run[k];
     obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
     obs::trace_flow_end("msg", "net", m.trace_id);
-    apply_update_locked(m);
+    admit_frame_locked(m, std::move(decoded[k]));
     // One readiness pass for the whole run, inside its last deliver span.
-    if (&m == &run.back() && !cfg_.omit_timestamps) drain_causal_buffers();
-  }
-}
-
-void Node::apply_update_locked(const net::Message& m) {
-  BatchRecord r;
-  r.var = static_cast<VarId>(m.a);
-  r.value = m.b;
-  r.seq = m.c;
-  r.flags = m.d;
-  const auto sender = static_cast<ProcId>(m.src);
-
-  if (cfg_.omit_timestamps) {
-    // Count-vector fast path (Section 6): apply in per-sender FIFO arrival
-    // order and feed the receive index to the count floors.  With
-    // selective multicast the writer sequence may skip values for this
-    // receiver; it must still be monotone per channel.
-    MC_CHECK(m.payload.empty());
-    if (cfg_.update_subscribers.empty()) {
-      MC_CHECK_MSG(r.seq == applied_[sender] + 1,
-                   "per-sender FIFO violated on the update channel");
-    } else {
-      MC_CHECK_MSG(r.seq > applied_[sender],
-                   "per-sender FIFO violated on the update channel");
+    if (k + 1 == run.size() && !cfg_.omit_timestamps && !dir_mode_) {
+      drain_causal_buffers();
     }
-    received_from_.set(sender, received_from_[sender] + 1);
-    mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, r.vc,
-               received_from_[sender]);
-    applied_.set(sender, r.seq);
-    return;
   }
-
-  PendingUpdate u;
-  u.vc = VectorClock(cfg_.num_procs);
-  // Elastic updates carry one extra word: the writer's view epoch (wire.h).
-  MC_CHECK(m.payload.size() == cfg_.num_procs + (elastic_ ? 1 : 0));
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) u.vc.set(p, m.payload[p]);
-  if (elastic_) r.epoch = m.payload[cfg_.num_procs];
-  r.vc = u.vc;
-  u.recs.push_back(std::move(r));
-
-  // Arrival must stay FIFO per sender; application to the local copy
-  // happens in causally-ready order (drain_causal_buffers) for both read
-  // modes.
-  MC_CHECK_MSG(u.vc[sender] == update_arrived_[sender] + 1,
-               "per-sender FIFO violated on the update channel");
-  update_arrived_.set(sender, u.vc[sender]);
-  causal_buffer_[sender].push_back(std::move(u));
 }
 
-void Node::on_batch(const net::Message& m) {
+void Node::admit_frame_locked(const net::Message& m, std::vector<BatchRecord> recs) {
   const auto sender = static_cast<ProcId>(m.src);
-  std::vector<BatchRecord> recs = decode_batch(m, cfg_.num_procs, cfg_.omit_timestamps);
+  // Originals the frame covers: coalesced records count every write they
+  // absorbed.  On a full-replication channel the sender's counter must
+  // advance by at least one and by at most this — a dropped or reordered
+  // frame trips the FIFO check below.
+  std::uint64_t weight = 0;
+  for (const BatchRecord& r : recs) weight += r.weight;
 
   if (cfg_.omit_timestamps) {
-    // Coalescing keeps a merged record at its original staging position
-    // with its *latest* sequence number, so sequence numbers inside a
-    // batch are neither dense nor monotone — but the batch as a whole must
-    // still move the per-sender channel strictly forward.
-    std::scoped_lock lk(mu_);
+    // Count-vector mode (Section 6): apply in per-sender FIFO arrival
+    // order and feed the receive index to the count floors.  Coalescing
+    // keeps a merged record at its original staging position with its
+    // *latest* sequence number, so sequence numbers inside a frame are
+    // neither dense nor monotone — but the frame as a whole must still
+    // move the channel forward.  With selective multicast the writer's
+    // sequence may skip any number of values for this receiver.
     SeqNo max_seq = 0;
     for (const BatchRecord& r : recs) max_seq = std::max(max_seq, r.seq);
-    MC_CHECK_MSG(max_seq > applied_[sender],
-                 "per-sender FIFO violated on the batch channel");
+    MC_CHECK_MSG(max_seq > applied_[sender] &&
+                     (!cfg_.update_subscribers.empty() ||
+                      max_seq - applied_[sender] <= weight),
+                 "per-sender FIFO violated on the update channel");
     for (const BatchRecord& r : recs) {
       // Advance the receive index by the record's weight: the collapsed
       // originals never travel, but the sender counted them in sent_to_,
@@ -398,7 +363,7 @@ void Node::on_batch(const net::Message& m) {
       mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, r.vc,
                  received_from_[sender], /*force=*/false, r.weight);
     }
-    applied_.set(sender, std::max(applied_[sender], max_seq));
+    applied_.set(sender, max_seq);
     return;
   }
 
@@ -409,7 +374,6 @@ void Node::on_batch(const net::Message& m) {
     // causally-ready application.  Records for variables this node does not
     // cache are counted (the sender counted them in sent_to_, and Section
     // 6's count synchronization compares the two) but not applied.
-    std::scoped_lock lk(mu_);
     for (const BatchRecord& r : recs) {
       received_from_.set(sender, received_from_[sender] + r.weight);
       // Re-homing offers carry the original writer's id (kFlagHasWriter).
@@ -444,19 +408,18 @@ void Node::on_batch(const net::Message& m) {
     return;
   }
 
+  // Arrival must stay FIFO per sender; application to the local copy
+  // happens in causally-ready order (drain_causal_buffers) for both read
+  // modes.
   PendingUpdate u;
-  u.gap_ok = true;
-  u.vc = VectorClock(cfg_.num_procs);
+  u.vc = recs.front().vc;
   for (const BatchRecord& r : recs) u.vc.merge(r.vc);
   u.recs = std::move(recs);
-  {
-    std::scoped_lock lk(mu_);
-    MC_CHECK_MSG(u.vc[sender] > update_arrived_[sender],
-                 "per-sender FIFO violated on the batch channel");
-    update_arrived_.set(sender, u.vc[sender]);
-    causal_buffer_[sender].push_back(std::move(u));
-    drain_causal_buffers();
-  }
+  MC_CHECK_MSG(u.vc[sender] > update_arrived_[sender] &&
+                   u.vc[sender] - update_arrived_[sender] <= weight,
+               "per-sender FIFO violated on the update channel");
+  update_arrived_.set(sender, u.vc[sender]);
+  causal_buffer_[sender].push_back(std::move(u));
 }
 
 void Node::drain_causal_buffers() {
@@ -466,19 +429,18 @@ void Node::drain_causal_buffers() {
     for (ProcId s = 0; s < cfg_.num_procs; ++s) {
       auto& q = causal_buffer_[s];
       auto ready = [&](const PendingUpdate& u) {
-        return elastic_
-                   ? u.vc.ready_after_masked(applied_, s, u.gap_ok, view_.alive_mask)
-                   : u.vc.ready_after(applied_, s, u.gap_ok);
+        return elastic_ ? u.vc.ready_after_masked(applied_, s, /*allow_gap=*/true,
+                                                  view_.alive_mask)
+                        : u.vc.ready_after(applied_, s, /*allow_gap=*/true);
       };
       while (!q.empty() && ready(q.front())) {
         const PendingUpdate& u = q.front();
-        // A batch applies atomically: every record lands under this one
-        // mutex hold, so no reader observes a mid-batch state (which the
+        // A frame applies atomically: every record lands under this one
+        // mutex hold, so no reader observes a mid-frame state (which the
         // coalesced per-write history could not serialize).
         for (const BatchRecord& r : u.recs) {
-          mem_.apply(r.var, r.value, r.flags, WriteId{s, r.seq},
-                     r.vc.empty() ? u.vc : r.vc, 0, /*force=*/false, r.weight,
-                     r.epoch);
+          mem_.apply(r.var, r.value, r.flags, WriteId{s, r.seq}, r.vc, 0,
+                     /*force=*/false, r.weight, r.epoch);
         }
         applied_.set(s, u.vc[s]);
         q.pop_front();
@@ -497,10 +459,10 @@ void Node::on_fetch_request(const net::Message& m) {
   resp.b = m.b;
   {
     std::scoped_lock lk(mu_);
-    // Mandatory flush (batching): serving a demand fetch is update
+    // Mandatory flush: serving a demand fetch is update
     // propagation — the response's clock may cover staged writes, which
     // must already be travelling when the requester blocks on them.
-    if (cfg_.batching.has_value()) flush_staged_locked();
+    flush_staged_locked();
     const VarEntry& e = mem_.entry(static_cast<VarId>(m.a));
     resp.c = e.value;
     resp.d = e.last.proc;
@@ -524,7 +486,7 @@ void Node::on_view_propose(const net::Message& m) {
   ack.kind = kViewAck;
   ack.a = m.a;
   std::scoped_lock lk(mu_);
-  if (cfg_.batching.has_value()) flush_staged_locked();
+  flush_staged_locked();
   ack.payload.assign(applied_.components().begin(), applied_.components().end());
   fabric_.send(std::move(ack));
 }
@@ -548,14 +510,13 @@ void Node::on_view_commit(const net::Message& m) {
   // Staged updates to the departed will never be acknowledged; drop them.
   // Their sent_to_ counts stand — nobody synchronizes on a dead sender's
   // counts again.
-  if (cfg_.batching.has_value()) {
-    for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-      if (p < 64 && ((departed >> p) & 1) != 0 && !staged_[p].empty()) {
-        staged_total_ -= staged_[p].size();
-        staged_[p].clear();
-      }
+  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
+    if (p < 64 && ((departed >> p) & 1) != 0 && !staged_[p].empty()) {
+      staged_total_ -= staged_[p].size();
+      staged_[p].clear();
     }
   }
+  const bool was_empty = staged_total_ == 0;
   // Demand-driven invalidations pointing at a dead owner: fall back to the
   // local copy (the re-mastering pass re-seeds it if the owner's write was
   // the global winner).
@@ -597,7 +558,7 @@ void Node::on_view_commit(const net::Message& m) {
           cached_[x] = true;  // owner pin: the home always holds a copy
         } else if (cached_[x]) {
           const VarEntry& e = mem_.entry(x);
-          if (e.last.valid() && !e.delta_touched && cfg_.batching.has_value()) {
+          if (e.last.valid() && !e.delta_touched) {
             stage_update(new_home, x, e.value, kFlagWrite, e.last.seq, e.vc,
                          e.epoch, e.last.proc);
           }
@@ -780,6 +741,8 @@ void Node::on_view_commit(const net::Message& m) {
       fabric_.send(std::move(sync));
     }
   }
+  // Re-homing offers staged above ship behind the joiner's FIFO baseline.
+  settle_staged_locked(was_empty);
   cv_.notify_all();
   sync_cv_.notify_all();  // an evicted lock or barrier waiter must unwind
   lk.unlock();
@@ -792,8 +755,7 @@ void Node::on_view_commit(const net::Message& m) {
 void Node::on_view_state(const net::Message& m) {
   // c distinguishes the shipment flavours: 1 = the donor's full snapshot
   // to the joiner, 2 = a survivor's self-backfill to the joiner (see
-  // on_view_commit; re-seeding to survivors travels as flagged kUpdate
-  // writes instead).
+  // on_view_commit; c = 0 is a re-seed to the survivors).
   const bool full_snapshot = m.c == 1;
   const std::size_t stride = 6 + cfg_.num_procs;
   std::scoped_lock lk(mu_);
@@ -919,7 +881,7 @@ void Node::leave() {
         handoff |= std::uint64_t{1} << home_under(next, x);
       }
     }
-    if (cfg_.batching.has_value()) flush_staged_locked();
+    flush_staged_locked();
     dir_handoff_wait_ = handoff;
     // Flush-and-ack probe (a kDirSharerAdd carrying no variables): FIFO
     // sequences the ack behind the offers just flushed on this channel, so
@@ -1030,7 +992,7 @@ void Node::request_fill(std::unique_lock<std::mutex>& lk, VarId x) {
   // Flush first, request second: our own staged writes travel ahead of the
   // request on our channel to the home, so the fill reflects them
   // (read-your-writes across a miss).
-  if (cfg_.batching.has_value()) flush_staged_locked();
+  flush_staged_locked();
   net::Message req;
   req.src = self_;
   req.dst = h;
@@ -1112,7 +1074,7 @@ void Node::on_dir_sharer_add(const net::Message& m) {
   for (std::uint64_t k = 0; k < m.a; ++k) {
     sharer_mask_[static_cast<VarId>(m.payload[k])] |= std::uint64_t{1} << m.c;
   }
-  if (cfg_.batching.has_value()) flush_staged_locked();
+  flush_staged_locked();
   net::Message ack;
   ack.src = self_;
   ack.dst = m.src;
@@ -1144,7 +1106,7 @@ void Node::on_dir_ack(const net::Message& m) {
 void Node::send_fill_response_locked(std::uint64_t token, const ServingFill& f) {
   // Our own staged writes are not fenced by the acks; flush them into the
   // snapshot too.
-  if (cfg_.batching.has_value()) flush_staged_locked();
+  flush_staged_locked();
   std::vector<BatchRecord> recs;
   recs.reserve(f.vars.size());
   for (const VarId x : f.vars) {
@@ -1200,7 +1162,7 @@ void Node::on_fetch_bulk_resp(const net::Message& m) {
               x, std::max(mem_.entry(x).applied_writes, r.baseline));
         }
       }
-      // Replay updates that raced the fill (on_batch held them): the
+      // Replay updates that raced the fill (admit_frame_locked held them): the
       // snapshot clock decides, per writer, which of them the home had
       // already folded into the snapshot and which are genuinely newer.
       if (const auto held = fill_backlog_.find(x); held != fill_backlog_.end()) {
@@ -1459,83 +1421,35 @@ VectorClock Node::snapshot_dep_vc() {
 
 void Node::broadcast_update(VarId x, Value value, std::uint64_t flags, SeqNo seq,
                             const VectorClock& stamp, std::uint64_t epoch) {
-  if (cfg_.batching.has_value()) {
-    // Batched propagation: stage per destination; thresholds or the
-    // flusher (or the next synchronization action) ship the batches.
-    const auto subs = cfg_.update_subscribers.find(x);
-    if (dir_managed(x)) {
-      // Directory multicast: registered sharers plus the home, nobody else.
-      std::uint64_t dests =
-          sharer_mask_[x] | (std::uint64_t{1} << effective_home(x));
-      dests &= ~(std::uint64_t{1} << self_);
-      if (elastic_) dests &= view_.alive_mask;
-      for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-        if ((dests >> p & 1) != 0) stage_update(p, x, value, flags, seq, stamp, epoch);
-      }
-    } else if (subs != cfg_.update_subscribers.end()) {
-      for (const ProcId p : subs->second) {
-        if (p != self_) stage_update(p, x, value, flags, seq, stamp, epoch);
-      }
-    } else {
-      for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-        if (p == self_ || (elastic_ && !view_.is_alive(p))) continue;
-        stage_update(p, x, value, flags, seq, stamp, epoch);
-      }
-    }
-    for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-      if (staged_[p].size() >= cfg_.batching->max_updates ||
-          approx_batch_bytes(staged_[p].size()) >= cfg_.batching->max_bytes) {
-        flush_staged_locked();
-        break;
-      }
-    }
-    return;
-  }
-  net::Message m;
-  m.src = self_;
-  m.kind = kUpdate;
-  m.a = x;
-  m.b = value;
-  m.c = seq;
-  m.d = flags;
-  if (!cfg_.omit_timestamps) {
-    m.payload.assign(stamp.components().begin(), stamp.components().end());
-    // Elastic updates append the writer's view epoch (wire.h) so the
-    // receiver's LWW arbitration can prefer new-view writes (store.cpp).
-    if (elastic_) m.payload.push_back(epoch);
-  }
+  // Stage per destination; thresholds or the flusher (or the next
+  // synchronization action) ship the frames.
+  const bool was_empty = staged_total_ == 0;
   const auto subs = cfg_.update_subscribers.find(x);
-  if (subs != cfg_.update_subscribers.end()) {
+  if (dir_managed(x)) {
+    // Directory multicast: registered sharers plus the home, nobody else.
+    std::uint64_t dests = sharer_mask_[x] | (std::uint64_t{1} << effective_home(x));
+    dests &= ~(std::uint64_t{1} << self_);
+    if (elastic_) dests &= view_.alive_mask;
+    for (ProcId p = 0; p < cfg_.num_procs; ++p) {
+      if ((dests >> p & 1) != 0) stage_update(p, x, value, flags, seq, stamp, epoch);
+    }
+  } else if (subs != cfg_.update_subscribers.end()) {
     for (const ProcId p : subs->second) {
-      if (p == self_) continue;
-      net::Message copy = m;
-      copy.dst = p;
-      fabric_.send(std::move(copy));
-      sent_to_.set(p, sent_to_[p] + 1);
-      if (profiler_ != nullptr) {
-        profiler_->record_update_bytes(
-            x, net::Message::kHeaderBytes + m.payload.size() * sizeof(std::uint64_t));
-      }
+      if (p != self_) stage_update(p, x, value, flags, seq, stamp, epoch);
     }
-    return;
-  }
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    // Elastic: non-members get nothing — the departed are gone, and a
-    // not-yet-admitted joiner gets its baseline via kViewHello instead.
-    if (p == self_ || (elastic_ && !view_.is_alive(p))) continue;
-    net::Message copy = m;
-    copy.dst = p;
-    fabric_.send(std::move(copy));
-    sent_to_.set(p, sent_to_[p] + 1);
-    if (profiler_ != nullptr) {
-      profiler_->record_update_bytes(
-          x, net::Message::kHeaderBytes + m.payload.size() * sizeof(std::uint64_t));
+  } else {
+    for (ProcId p = 0; p < cfg_.num_procs; ++p) {
+      // Elastic: non-members get nothing — the departed are gone, and a
+      // not-yet-admitted joiner gets its baseline via kViewHello instead.
+      if (p == self_ || (elastic_ && !view_.is_alive(p))) continue;
+      stage_update(p, x, value, flags, seq, stamp, epoch);
     }
   }
+  settle_staged_locked(was_empty);
 }
 
 // ----------------------------------------------------------------------
-// Batched propagation (Config::batching; DESIGN.md §6.3)
+// Update propagation (Config::batching; DESIGN.md §6.3)
 // ----------------------------------------------------------------------
 
 std::size_t Node::approx_batch_bytes(std::size_t records) const {
@@ -1566,7 +1480,7 @@ void Node::stage_update(ProcId dest, VarId x, Value value, std::uint64_t flags, 
   if (elastic_ && epoch != 0 && !cfg_.omit_timestamps) flags |= kFlagHasEpoch;
   if (writer != kNoProc) flags |= kFlagHasWriter;
   auto& buf = staged_[dest];
-  if (cfg_.batching->coalesce) {
+  if (cfg_.batching.coalesce) {
     // Coalesce with the *latest* staged record for this variable only —
     // merging past an intervening record of the other kind would reorder
     // this process's per-variable update sequence.  Option bits must match
@@ -1601,9 +1515,28 @@ void Node::stage_update(ProcId dest, VarId x, Value value, std::uint64_t flags, 
   r.seq = seq;
   r.epoch = epoch;
   r.writer = writer;
-  if (!cfg_.omit_timestamps) r.vc = stamp;
+  if (!cfg_.omit_timestamps) {
+    if (!spare_clocks_.empty()) {
+      r.vc = std::move(spare_clocks_.back());
+      spare_clocks_.pop_back();
+    }
+    r.vc = stamp;
+  }
   buf.push_back(std::move(r));
-  if (staged_total_++ == 0) {
+  ++staged_total_;
+}
+
+void Node::settle_staged_locked(bool was_empty) {
+  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
+    if (staged_[p].size() >= cfg_.batching.max_updates ||
+        approx_batch_bytes(staged_[p].size()) >= cfg_.batching.max_bytes) {
+      flush_staged_locked();
+      return;
+    }
+  }
+  // Nothing shipped.  Wake the flusher only when this round opened the
+  // window: under per_write() every round ships, so it never wakes at all.
+  if (was_empty && staged_total_ > 0) {
     oldest_staged_ = std::chrono::steady_clock::now();
     flush_cv_.notify_one();
   }
@@ -1611,18 +1544,50 @@ void Node::stage_update(ProcId dest, VarId x, Value value, std::uint64_t flags, 
 
 void Node::flush_staged_locked() {
   if (staged_total_ == 0) return;
+  // Encode once per run of equal buffers: under full replication every
+  // destination stages the same records, so one frame serves them all.
+  // Each destination but the run's last gets a copy; the last takes the
+  // frame itself.
+  const std::vector<BatchRecord>* encoded = nullptr;
+  net::Message frame;
+  ProcId holder = kNoProc;  // destination owed `frame` itself
+  std::uint64_t copies = 0;  // destinations `frame` serves
+  std::uint64_t frames = 0;
+  std::uint64_t records = 0;
+  const auto ship = [&] {
+    frame.dst = holder;
+    fabric_.send(std::move(frame));
+    stats_.batch_updates_per_msg.record_ns(encoded->size(), copies);
+  };
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    auto& buf = staged_[p];
+    const auto& buf = staged_[p];
     if (buf.empty()) continue;
-    net::Message m = encode_batch(buf, cfg_.num_procs, cfg_.omit_timestamps);
-    m.src = self_;
-    m.dst = p;
+    ++frames;
+    records += buf.size();
+    if (encoded != nullptr && buf == *encoded) {
+      net::Message copy = frame;
+      copy.dst = holder;
+      fabric_.send(std::move(copy));
+      holder = p;
+      ++copies;
+      continue;
+    }
+    if (encoded != nullptr) ship();
+    frame = encode_batch(buf, cfg_.num_procs, cfg_.omit_timestamps);
+    frame.src = self_;
     // Directory mode: stamp the resolved frontier (wire.h kBatch).
-    if (dir_mode_) m.b = write_counter_;
-    stats_.batch_msgs.add();
-    stats_.batch_updates.add(buf.size());
-    stats_.batch_updates_per_msg.record_ns(buf.size());
-    fabric_.send(std::move(m));
+    if (dir_mode_) frame.b = write_counter_;
+    encoded = &buf;
+    holder = p;
+    copies = 1;
+  }
+  ship();
+  stats_.batch_msgs.add(frames);
+  stats_.batch_updates.add(records);
+  for (auto& buf : staged_) {
+    for (BatchRecord& r : buf) {
+      if (!r.vc.empty()) spare_clocks_.push_back(std::move(r.vc));
+    }
     buf.clear();
   }
   staged_total_ = 0;
@@ -1633,12 +1598,12 @@ void Node::run_flusher() {
   for (;;) {
     flush_cv_.wait(lk, [&] { return flusher_stop_ || staged_total_ > 0; });
     if (flusher_stop_) return;
-    const auto deadline = oldest_staged_ + cfg_.batching->max_delay;
+    const auto deadline = oldest_staged_ + cfg_.batching.max_delay;
     if (flush_cv_.wait_until(lk, deadline, [&] { return flusher_stop_; })) return;
     // A mandatory flush may have raced us and new records may have been
     // staged since; only ship once something has genuinely aged out.
     if (staged_total_ > 0 &&
-        std::chrono::steady_clock::now() >= oldest_staged_ + cfg_.batching->max_delay) {
+        std::chrono::steady_clock::now() >= oldest_staged_ + cfg_.batching.max_delay) {
       flush_staged_locked();
     }
   }
@@ -1874,11 +1839,11 @@ void Node::await(VarId x, Value v, ReadMode mode) {
   stats_.awaits.add();
   Stopwatch blocked;
   std::unique_lock lk(mu_);
-  // Mandatory flush (batching): our own staged writes must be on the wire
+  // Mandatory flush: our own staged writes must be on the wire
   // before we block — the peer whose write resolves this await may itself
   // be awaiting one of our staged values (liveness), and the |-> await
   // edge's visibility obligations assume our prior writes travel first.
-  if (cfg_.batching.has_value()) flush_staged_locked();
+  flush_staged_locked();
   // Directory miss: register as a sharer first, so the write that resolves
   // this await is multicast to us at all.
   if (dir_managed(x)) {
@@ -1927,10 +1892,10 @@ void Node::barrier(BarrierId b) {
   arrive.b = epoch;
   {
     std::scoped_lock lk(mu_);
-    // Mandatory flush (batching): the snapshot below promises peers that
+    // Mandatory flush: the snapshot below promises peers that
     // every update it counts is on the wire; staged records would make the
     // promise a lie and Theorem 1's barrier condition unsound.
-    if (cfg_.batching.has_value()) flush_staged_locked();
+    flush_staged_locked();
     // Count mode ships the paper's per-receiver sent-update counts; the
     // manager transposes them.  VC mode ships the dependency clock.
     // Directory mode ships both: counts gate reception, the merged clock
@@ -2076,10 +2041,10 @@ void Node::do_unlock(LockId l, LockRequestKind kind) {
   std::vector<VarId> digest;
   {
     std::scoped_lock lk(mu_);
-    // Mandatory flush (batching): critical-section updates must precede the
+    // Mandatory flush: critical-section updates must precede the
     // eager flush probes (FIFO makes the probe's ack meaningful) and the
     // unlock's clock/count snapshot, for every propagation policy.
-    if (cfg_.batching.has_value()) flush_staged_locked();
+    flush_staged_locked();
     auto it = held_.find(l);
     MC_CHECK_MSG(it != held_.end(), "unlock of a lock that is not held");
     MC_CHECK_MSG(it->second.kind == kind, "unlock kind does not match the held lock");

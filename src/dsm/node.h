@@ -67,7 +67,7 @@ struct NodeStats {
   /// while reads_pram / reads_causal and read_blocked stay exact.
   LatencyHistogram read_pram_ns, read_causal_ns, await_spin_ns, lock_acquire_ns,
       barrier_wait_ns;
-  /// Batched propagation (Config::batching; docs/METRICS.md `net.batch.*`):
+  /// Update propagation (Config::batching; docs/METRICS.md `net.batch.*`):
   /// kBatch messages sent, update records they carried, and original
   /// updates absorbed into an already-staged record (LWW writes / summed
   /// deltas) instead of becoming records of their own.
@@ -213,16 +213,15 @@ class Node {
   void stop();
 
  private:
-  /// A unit of causal-buffer admission: one kUpdate (single record) or one
-  /// kBatch (all of its records, applied atomically — partially applying a
-  /// coalesced batch could expose a mid-batch state no per-write history
-  /// serializes).  `vc` is the component-wise max of the record clocks and
-  /// is what readiness and `applied_` advance on.
+  /// A unit of causal-buffer admission: one kBatch frame, all of its
+  /// records applied atomically — partially applying a coalesced frame
+  /// could expose a mid-frame state no per-write history serializes.
+  /// `vc` is the component-wise max of the record clocks and is what
+  /// readiness and `applied_` advance on; coalescing legitimately skips
+  /// sender clock values, so readiness allows the gap.
   struct PendingUpdate {
     std::vector<BatchRecord> recs;
     VectorClock vc;
-    /// kBatch: coalescing legitimately skips sender sequence numbers.
-    bool gap_ok = false;
   };
 
   struct HeldLock {
@@ -281,15 +280,14 @@ class Node {
 
   // Delivery-thread handlers.
   void run_delivery();
-  /// Handle one message other than kUpdate (those arrive in runs).
+  /// Handle one message other than kBatch (those arrive in runs).
   void deliver(const net::Message& m);
-  /// Apply a run of consecutive kUpdates under one mu_ hold, then make one
-  /// causal readiness pass.
-  void on_updates(std::span<const net::Message> run);
-  /// Admit one kUpdate: applied at once in count mode, causal-buffered
-  /// otherwise.  Expects mu_; the caller drains the buffers.
-  void apply_update_locked(const net::Message& m);
-  void on_batch(const net::Message& m);
+  /// Decode a run of consecutive kBatch frames, then admit them all under
+  /// one mu_ hold followed by one causal readiness pass.
+  void on_frames(std::span<const net::Message> run);
+  /// Admit one decoded frame: applied at once in count and directory mode,
+  /// causal-buffered otherwise.  Expects mu_; the caller drains the buffers.
+  void admit_frame_locked(const net::Message& m, std::vector<BatchRecord> recs);
   void drain_causal_buffers();
   void on_fetch_request(const net::Message& m);
 
@@ -427,7 +425,7 @@ class Node {
                         const VectorClock& stamp, std::uint64_t epoch = 0);
   [[nodiscard]] bool demand_local_write(VarId x, HeldLock** held_out);
 
-  // ----- batched propagation (Config::batching; DESIGN.md §6.3) -----
+  // ----- update propagation (Config::batching; DESIGN.md §6.3) -----
 
   /// Stage one update for `dest`, coalescing into an already-staged record
   /// when permitted.  Bumps sent_to_ immediately (the staged record WILL
@@ -439,6 +437,11 @@ class Node {
   void stage_update(ProcId dest, VarId x, Value value, std::uint64_t flags, SeqNo seq,
                     const VectorClock& stamp, std::uint64_t epoch = 0,
                     ProcId writer = kNoProc);
+  /// Close a round of stage_update calls: flush every buffer once any
+  /// destination reaches a threshold; otherwise, when the round opened the
+  /// staging window (`was_empty`), start the flusher's max_delay clock.
+  /// Requires mu_.
+  void settle_staged_locked(bool was_empty);
   /// Ship every non-empty staging buffer as one kBatch per destination.
   /// All destinations flush together: uniform flush boundaries keep batch
   /// dependency edges pointing at earlier-flushed batches only, which is
@@ -588,9 +591,12 @@ class Node {
   TraceRecorder trace_;
   NodeStats stats_;
 
-  // Batched propagation state (guarded by mu_; empty unless Config::batching).
+  // Update staging state (guarded by mu_).
   std::vector<std::vector<BatchRecord>> staged_;  // per destination endpoint
   std::size_t staged_total_ = 0;
+  /// Clock storage of flushed records, reused by stage_update so a staged
+  /// record's clock copy does not allocate.
+  std::vector<VectorClock> spare_clocks_;
   std::chrono::steady_clock::time_point oldest_staged_{};
   bool flusher_stop_ = false;
   std::condition_variable flush_cv_;

@@ -13,9 +13,6 @@ MixedSystem::MixedSystem(Config cfg)
       fabric_(cfg_.num_procs + 2, cfg_.latency, cfg_.seed) {
   MC_CHECK(cfg_.num_procs >= 1);
   if (cfg_.directory.has_value()) {
-    MC_CHECK_MSG(cfg_.batching.has_value(),
-                 "the directory protocol rides the batch codec "
-                 "(staging buffers, fill frames): Config::batching required");
     MC_CHECK_MSG(!cfg_.omit_timestamps,
                  "directory mode needs vector timestamps: fills install "
                  "LWW winners and deltas merge clocks");
@@ -25,6 +22,9 @@ MixedSystem::MixedSystem(Config cfg)
     MC_CHECK_MSG(cfg_.num_procs <= 64,
                  "directory sharer sets are encoded as 64-bit masks");
   }
+  MC_CHECK_MSG(cfg_.omit_timestamps || cfg_.num_procs <= 64,
+               "vector-clock update frames delta-encode clocks against "
+               "64-bit masks (dsm/batch.h): at most 64 processes");
   MC_CHECK_MSG(!(cfg_.omit_timestamps && !cfg_.demand_association.empty()),
                "timestamp elision assumes all writes are broadcast; "
                "demand-driven locks are incompatible");
@@ -295,13 +295,11 @@ MetricsSnapshot MixedSystem::metrics() const {
   snap.values["dsm.writes"] = writes;
   snap.values["dsm.deltas"] = deltas;
   snap.values["dsm.fetches"] = fetches;
-  if (cfg_.batching.has_value()) {
-    snap.values["net.batch.msgs"] = batch_msgs;
-    snap.values["net.batch.updates"] = batch_updates;
-    snap.values["net.batch.coalesced"] = batch_coalesced;
-    // Samples are record counts, not nanoseconds (docs/METRICS.md).
-    snap.add_histogram("net.batch.updates_per_msg", batch_updates_per_msg);
-  }
+  snap.values["net.batch.msgs"] = batch_msgs;
+  snap.values["net.batch.updates"] = batch_updates;
+  snap.values["net.batch.coalesced"] = batch_coalesced;
+  // Samples are record counts, not nanoseconds (docs/METRICS.md).
+  snap.add_histogram("net.batch.updates_per_msg", batch_updates_per_msg);
   snap.add_histogram("read.pram_ns", read_pram_ns);
   snap.add_histogram("read.causal_ns", read_causal_ns);
   snap.add_histogram("await.spin_ns", await_spin_ns);

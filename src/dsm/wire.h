@@ -15,11 +15,10 @@
 namespace mc::dsm {
 
 enum MsgKind : std::uint16_t {
-  /// Memory update broadcast.  a=var, b=value bits, c=write seq (WriteId),
-  /// d=flags (kFlagWrite / kFlagIntDelta / kFlagDoubleDelta).
-  /// payload = writer's vector clock (num_procs words); elastic runs
-  /// append one more word, the writer's view epoch, which joins the
-  /// concurrent-write LWW tiebreak (store.cpp).
+  /// Retired: the unframed per-write update.  Every update now travels in
+  /// a kBatch frame (per-write broadcast is a one-record frame,
+  /// BatchingConfig::per_write()).  The value stays reserved — no node
+  /// sends or handles it, and no other kind may reuse it.
   kUpdate = 1,
 
   /// Eager-release flush probe.  a=token.  Receiver replies kSyncAck after
@@ -55,13 +54,16 @@ enum MsgKind : std::uint16_t {
   /// the merged clock).
   kBarrierRelease = 10,
 
-  /// Framed batch of coalesced memory updates (Config::batching).
+  /// Memory updates: the one update wire path (Config::batching).
   /// a = record count N; payload = shared base clock + N (var, value,
   /// flags, seq, weight, vc-delta) records with vector clocks delta-encoded
   /// against the base clock — exact layout in dsm/batch.h.  A receiver
-  /// applies the whole batch atomically and tolerates per-sender sequence
-  /// gaps (coalescing collapses superseded writes), unlike kUpdate's
-  /// strict +1 FIFO check.  Directory mode stamps b = the sender's write
+  /// applies the whole frame atomically.  On a full-replication channel
+  /// the sender's clock component (count mode without subscribers: its
+  /// highest seq) must advance by at least 1 and at most the frame's
+  /// summed record weight — coalescing collapses superseded writes but
+  /// counts them in the weight, so a dropped or reordered frame still
+  /// trips the FIFO check.  Directory mode stamps b = the sender's write
   /// counter at flush time — the receiver's resolved frontier (node.h).
   kBatch = 11,
 
@@ -191,7 +193,6 @@ enum UpdateFlags : std::uint64_t {
 
 /// Register human-readable kind names on a fabric (metrics keys).
 inline void register_kind_names(net::Fabric& fabric) {
-  fabric.name_kind(kUpdate, "update");
   fabric.name_kind(kSyncReq, "sync_req");
   fabric.name_kind(kSyncAck, "sync_ack");
   fabric.name_kind(kFetchReq, "fetch_req");

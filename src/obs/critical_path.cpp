@@ -95,7 +95,9 @@ CpCategory span_category(const char* name) {
   if (n == "barrier.wait") return CpCategory::kBarrierWait;
   if (n == "await") return CpCategory::kAwaitSpin;
   if (n == "read.block" || n == "fetch.wait") return CpCategory::kReadBlock;
-  return CpCategory::kDeliver;
+  if (n == "deliver") return CpCategory::kDeliver;
+  // Any other span is the thread's own work (e.g. a checker pass).
+  return CpCategory::kCompute;
 }
 
 /// A wait span's pre-arrival time is explained by the path through the

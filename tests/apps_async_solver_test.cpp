@@ -41,7 +41,7 @@ TEST(AsyncGaussSeidel, UsesNoSynchronizationMessages) {
   EXPECT_EQ(res.metrics.get("net.msg.barrier_arrive"), 0u);
   EXPECT_EQ(res.metrics.get("net.msg.lock_req"), 0u);
   EXPECT_EQ(res.metrics.get("net.msg.sync_req"), 0u);
-  EXPECT_GT(res.metrics.get("net.msg.update"), 0u);
+  EXPECT_GT(res.metrics.get("net.msg.batch"), 0u);
 }
 
 TEST(AsyncGaussSeidel, ConvergesUnderLatency) {

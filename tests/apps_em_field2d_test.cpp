@@ -75,7 +75,7 @@ TEST(Em2d, OnlyBoundaryRowsCrossTheFabric) {
   // Per step: each proc publishes <= 2 rows of ny values to 3 peers, plus
   // the initial publication and barrier traffic — far below shipping the
   // whole grid every phase.
-  const auto updates = par.metrics.get("net.msg.update");
+  const auto updates = par.metrics.get("net.msg.batch");
   EXPECT_LT(updates, (prob.steps + 1) * 2 * prob.ny * 4 * 3 + 1);
   EXPECT_GT(updates, 0u);
 }

@@ -88,8 +88,8 @@ TEST(EmField, GhostSharingSendsFarFewerUpdates) {
   prob.steps = 8;
   const auto full = em_mixed(prob, 4, ReadMode::kPram, EmSharing::kFullGrid);
   const auto ghost = em_mixed(prob, 4, ReadMode::kPram, EmSharing::kGhost);
-  EXPECT_GT(full.metrics.get("net.msg.update"),
-            10 * ghost.metrics.get("net.msg.update"));
+  EXPECT_GT(full.metrics.get("net.msg.batch"),
+            10 * ghost.metrics.get("net.msg.batch"));
 }
 
 TEST(EmField, SingleProcessDegeneratesToReference) {
@@ -125,8 +125,8 @@ TEST(EmField, PatternOptimizedGhostIsExactAndCheaper) {
   EXPECT_EQ(ref.h, optimized.h);
   // Each boundary value reaches one neighbour instead of three peers, and
   // updates carry no timestamps.
-  EXPECT_LT(optimized.metrics.get("net.msg.update"),
-            plain.metrics.get("net.msg.update") / 2);
+  EXPECT_LT(optimized.metrics.get("net.msg.batch"),
+            plain.metrics.get("net.msg.batch") / 2);
   EXPECT_LT(optimized.metrics.get("net.bytes"), plain.metrics.get("net.bytes"));
 }
 

@@ -153,7 +153,7 @@ TEST(Solver, MetricsShowBarrierTrafficForFig2AndAwaitTrafficForFig3) {
   const auto fig3 = solve_handshake_causal(sys, opt);
   EXPECT_GT(fig2.metrics.get("net.msg.barrier_arrive"), 0u);
   EXPECT_EQ(fig3.metrics.get("net.msg.barrier_arrive"), 0u);
-  EXPECT_GT(fig3.metrics.get("net.msg.update"), 0u);
+  EXPECT_GT(fig3.metrics.get("net.msg.batch"), 0u);
 }
 
 }  // namespace

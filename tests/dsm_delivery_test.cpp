@@ -5,12 +5,14 @@
 // when.
 
 #include <gtest/gtest.h>
+#include "gtest_compat.h"
 
 #include <atomic>
 #include <chrono>
 #include <thread>
 #include <tuple>
 
+#include "dsm/batch.h"
 #include "dsm/node.h"
 #include "dsm/wire.h"
 
@@ -41,17 +43,18 @@ struct Scripted {
     node.stop();
   }
 
-  /// The peer's seq-th write, x := v (its clock is {0, seq}).
+  /// The peer's seq-th write, x := v (its clock is {0, seq}), as the
+  /// one-record frame a per-write broadcast ships.
   static net::Message peer_write(VarId x, std::int64_t v, SeqNo seq) {
-    net::Message m;
+    BatchRecord r;
+    r.var = x;
+    r.value = value_of(v);
+    r.flags = kFlagWrite;
+    r.seq = seq;
+    r.vc = VectorClock{0, seq};
+    net::Message m = encode_batch({r}, 2, /*omit_timestamps=*/false);
     m.src = kPeer;
     m.dst = kSelf;
-    m.kind = kUpdate;
-    m.a = x;
-    m.b = value_of(v);
-    m.c = seq;
-    m.d = kFlagWrite;
-    m.payload = {0, seq};
     return m;
   }
 
@@ -181,6 +184,20 @@ TEST(DsmDelivery, DeltaWaitsForTheWriteItsClockCovers) {
   EXPECT_TRUE(s.fabric.mailbox(kSelf).push(Scripted::peer_write(3, 10, 1)));
   app.join();
   EXPECT_EQ(got, 9);
+}
+
+TEST(DsmDeliveryDeathTest, SkippedPerWriteFrameTripsTheFifoCheck) {
+  // The peer's second write never arrives: its third advances the peer's
+  // clock component by 2 in a frame whose records weigh 1.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        Scripted s;
+        std::ignore = s.fabric.mailbox(kSelf).push(Scripted::peer_write(3, 1, 1));
+        std::ignore = s.fabric.mailbox(kSelf).push(Scripted::peer_write(3, 3, 3));
+        std::this_thread::sleep_for(10s);
+      },
+      "per-sender FIFO violated");
 }
 
 }  // namespace

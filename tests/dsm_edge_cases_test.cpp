@@ -97,7 +97,7 @@ TEST(DsmEdge, DemandVariableWrittenOutsideItsLockIsBroadcast) {
       EXPECT_EQ(n.read_int(0, ReadMode::kPram), 7);
     }
   });
-  EXPECT_GT(sys.metrics().get("net.msg.update"), 0u);
+  EXPECT_GT(sys.metrics().get("net.msg.batch"), 0u);
 }
 
 TEST(DsmEdge, ReentrantLockDies) {

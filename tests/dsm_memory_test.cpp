@@ -171,7 +171,7 @@ TEST(DsmMemory, MetricsExposeFabricTraffic) {
     if (p == 1) n.await(0, 1);
   });
   const auto snap = sys.metrics();
-  EXPECT_GE(snap.get("net.msg.update"), 1u);
+  EXPECT_GE(snap.get("net.msg.batch"), 1u);
   EXPECT_EQ(snap.get("dsm.writes"), 1u);
 }
 

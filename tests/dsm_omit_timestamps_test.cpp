@@ -97,10 +97,11 @@ TEST(OmitTimestamps, UpdatesShrinkOnTheWire) {
   };
   const auto with_ts = traffic(false);
   const auto without_ts = traffic(true);
-  EXPECT_EQ(with_ts.get("net.msg.update"), without_ts.get("net.msg.update"));
-  // Each elided update saves num_procs words = 32 bytes at 4 processes.
+  EXPECT_EQ(with_ts.get("net.msg.batch"), without_ts.get("net.msg.batch"));
+  // Each elided timestamp saves the frame's base clock and delta mask,
+  // num_procs + 1 words = 40 bytes at 4 processes.
   EXPECT_GT(with_ts.get("net.bytes"),
-            without_ts.get("net.bytes") + 30 * without_ts.get("net.msg.update"));
+            without_ts.get("net.bytes") + 30 * without_ts.get("net.msg.batch"));
 }
 
 TEST(OmitTimestamps, Figure2SolverIdenticalWithAndWithoutTimestamps) {

@@ -39,7 +39,7 @@ TEST(Subscriptions, OnlySubscribersReceiveUpdates) {
     }
   });
   // 10 updates to exactly one peer (instead of two).
-  EXPECT_EQ(sys.metrics().get("net.msg.update"), 10u);
+  EXPECT_EQ(sys.metrics().get("net.msg.batch"), 10u);
 }
 
 TEST(Subscriptions, BarrierCountsArePerReceiver) {
@@ -106,7 +106,7 @@ TEST(Subscriptions, LazyLocksShipPerReceiverCounts) {
       }
     }
   });
-  EXPECT_EQ(sys.metrics().get("net.msg.update"), 1u);  // p1 only
+  EXPECT_EQ(sys.metrics().get("net.msg.batch"), 1u);  // p1 only
 }
 
 TEST(Subscriptions, SubscriberTraceIsMixedConsistent) {
@@ -143,7 +143,7 @@ TEST(Subscriptions, SavesMessagesVersusBroadcast) {
         EXPECT_EQ(n.read(0, ReadMode::kPram), 20u);
       }
     });
-    return sys.metrics().get("net.msg.update");
+    return sys.metrics().get("net.msg.batch");
   };
   EXPECT_EQ(traffic(false), 60u);  // 20 updates x 3 peers
   EXPECT_EQ(traffic(true), 20u);   // 20 updates x 1 subscriber

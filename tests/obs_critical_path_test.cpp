@@ -185,6 +185,19 @@ TEST(AnalyzeTraceTest, UnboundWaitKeepsFullWeight) {
   EXPECT_EQ(cp.category(CpCategory::kCompute), 595u);
 }
 
+TEST(AnalyzeTraceTest, NamedWorkSpanOnAnAppLaneIsCompute) {
+  // A span that is neither a wait nor a delivery (here a checker pass) is
+  // the thread's own work: it bills compute, not deliver.
+  std::vector<Tracer::Recorded> ev;
+  ev.push_back(instant(1, "proc.start", 5));
+  ev.push_back(span(1, "check.graph", 100, 400));
+
+  const CriticalPath cp = analyze_trace(ev, 0, 1000);
+  EXPECT_EQ(cp.total_ns, 995u);
+  EXPECT_EQ(cp.category(CpCategory::kCompute), 995u);
+  EXPECT_EQ(cp.category(CpCategory::kDeliver), 0u);
+}
+
 TEST(AnalyzeTraceTest, WindowClipsSpans) {
   std::vector<Tracer::Recorded> ev;
   ev.push_back(instant(1, "proc.start", 150));
