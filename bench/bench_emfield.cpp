@@ -26,17 +26,25 @@ void run_case(Harness& h, std::size_t m, std::size_t procs) {
   prob.steps = 12;
   const auto lat = net::LatencyModel::fast();
   const auto ref = em_reference(prob);
+  // The paper's per-write broadcast: the ghost-copy ablation counts update
+  // messages, one per published value per reader (flush-on-sync batching
+  // ships one frame per peer per phase in every variant; EXPERIMENTS.md).
+  const auto pw = dsm::BatchingConfig::per_write();
 
   struct Row {
     const char* name;
     EmResult r;
   };
   const Row rows[] = {
-      {"full-grid-pram", em_mixed(prob, procs, ReadMode::kPram, EmSharing::kFullGrid, lat)},
-      {"full-grid-causal", em_mixed(prob, procs, ReadMode::kCausal, EmSharing::kFullGrid, lat)},
-      {"ghost-pram", em_mixed(prob, procs, ReadMode::kPram, EmSharing::kGhost, lat)},
+      {"full-grid-pram", em_mixed(prob, procs, ReadMode::kPram, EmSharing::kFullGrid, lat, 1,
+                                  false, std::nullopt, false, pw)},
+      {"full-grid-causal", em_mixed(prob, procs, ReadMode::kCausal, EmSharing::kFullGrid, lat,
+                                    1, false, std::nullopt, false, pw)},
+      {"ghost-pram", em_mixed(prob, procs, ReadMode::kPram, EmSharing::kGhost, lat, 1, false,
+                              std::nullopt, false, pw)},
       {"ghost-pram-optimized", em_mixed(prob, procs, ReadMode::kPram, EmSharing::kGhost,
-                                        lat, 1, /*pattern_optimized=*/true)},
+                                        lat, 1, /*pattern_optimized=*/true, std::nullopt,
+                                        false, pw)},
       {"sc-ghost", em_sc(prob, procs, lat)},
   };
   for (const Row& row : rows) {

@@ -28,6 +28,10 @@ void lock_policy_case(Harness& h, LockPolicy policy, std::size_t procs, int roun
   cfg.num_procs = procs;
   cfg.num_vars = 8;
   cfg.default_lock_policy = policy;
+  // The paper's per-write broadcast: C4 compares Section 6's three
+  // propagation sketches, whose message shapes assume one update message
+  // per write (flush-on-sync batching moves the crossover; EXPERIMENTS.md).
+  cfg.batching = BatchingConfig::per_write();
   if (policy == LockPolicy::kDemand) {
     for (VarId x = 0; x < 4; ++x) cfg.demand_association[x] = 0;
   }

@@ -26,14 +26,20 @@ int main() {
   constexpr VarId kFlag = 1;     // handshake flag
   constexpr VarId kShared = 2;   // lock-protected accumulator
   constexpr VarId kCounter = 3;  // commutative counter object
+  constexpr VarId kReady = 4;    // set once initialization is done
   constexpr LockId kLock = 0;
 
-  sys.node(0).write_int(kCounter, 10);  // initialize before going parallel
+  // Initialize before going parallel, then raise a ready flag nobody
+  // changes afterwards.
+  sys.node(0).write_int(kCounter, 10);
+  sys.node(0).write_int(kReady, 1);
 
   sys.run([&](dsm::Node& node, ProcId p) {
-    // Synchronize with the initialization write (programs that skip this
-    // would race, and the checker below would say so).
-    node.await_int(kCounter, 10);
+    // Synchronize with the initialization writes (programs that skip this
+    // would race, and the checker below would say so).  Await the flag, not
+    // the counter: other processes decrement the counter as soon as they
+    // get past here, so an await on its initial value could miss it.
+    node.await_int(kReady, 1);
 
     if (p == 0) {
       // Producer: fill the payload, then raise the flag.  The await on the

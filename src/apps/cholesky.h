@@ -56,10 +56,11 @@ struct CholeskyOptions {
   /// schedule-dependent update ordering).
   std::optional<ProcId> crash_proc;
 
-  /// Update staging and framing (Config::batching; per_write() by default).
-  /// Batched, the counter variant exercises delta-sum coalescing and the
-  /// lock variant flush-on-unlock.
-  dsm::BatchingConfig batching = dsm::BatchingConfig::per_write();
+  /// Update staging and framing (Config::batching; flush-on-sync batching
+  /// by default, per_write() for the paper's per-write broadcast).  Batched,
+  /// the counter variant exercises delta-sum coalescing and the lock
+  /// variant flush-on-unlock.
+  dsm::BatchingConfig batching;
 
   /// Directory-based partial replication (Config::directory).  The counter variant additionally exercises delta
   /// write-allocation (a delta to an uncached variable fills first).

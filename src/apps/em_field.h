@@ -52,13 +52,15 @@ EmResult em_reference(const EmProblem& prob);
 /// the given label.  With `pattern_optimized` (ghost sharing + PRAM reads
 /// only) the Section 6 access-pattern optimizations kick in: update
 /// timestamps are elided and each boundary value is multicast only to the
-/// single neighbour that reads it.
+/// single neighbour that reads it.  `batching` stages and frames the
+/// updates (flush-on-sync by default; per_write() for the paper's per-write
+/// broadcast).
 EmResult em_mixed(const EmProblem& prob, std::size_t procs, ReadMode mode,
                   EmSharing sharing, net::LatencyModel latency = {},
                   std::uint64_t seed = 1, bool pattern_optimized = false,
                   const std::optional<net::FaultPlan>& faults = std::nullopt,
                   bool reliable = false,
-                  const dsm::BatchingConfig& batching = dsm::BatchingConfig::per_write(),
+                  const dsm::BatchingConfig& batching = {},
                   const std::optional<dsm::DirectoryConfig>& directory = std::nullopt);
 
 /// The same algorithm on the sequentially consistent baseline.

@@ -58,10 +58,10 @@ struct SolverOptions {
   /// sweeps against the batching configuration.
   net::ReliabilityConfig reliability;
 
-  /// Update staging and framing (Config::batching): per_write() is the
-  /// paper's per-write broadcast; a batched config coalesces and frames the
-  /// writes.  Flush-on-sync keeps every variant correct.
-  dsm::BatchingConfig batching = dsm::BatchingConfig::per_write();
+  /// Update staging and framing (Config::batching): the default batches,
+  /// coalescing and framing the writes; per_write() is the paper's per-write
+  /// broadcast.  Flush-on-sync keeps every variant correct.
+  dsm::BatchingConfig batching;
 
   /// Directory-based partial replication (Config::directory): updates
   /// multicast only to registered sharers, replicas demand-page in, cold

@@ -50,7 +50,8 @@ enum class LockPolicy : std::uint8_t {
 /// unconditionally before every synchronization action (lock release,
 /// barrier arrival, await, demand-fetch service), which is what keeps
 /// Theorem 1's sufficient conditions intact — see DESIGN.md.  The defaults
-/// batch; per_write() is the paper's naive broadcast.
+/// batch (flush-on-sync); per_write() is the ablation that reproduces the
+/// paper's naive per-write broadcast.
 struct BatchingConfig {
   /// Flush once any destination's staging buffer holds this many records.
   std::size_t max_updates = 16;
@@ -112,9 +113,9 @@ struct Config {
   net::ReliabilityConfig reliability;
 
   /// How update broadcasts are staged and framed (see BatchingConfig
-  /// above).  Defaults to per_write(): every write is its own one-record
-  /// fan-out, matching the paper's naive Section 6 sketch.
-  BatchingConfig batching = BatchingConfig::per_write();
+  /// above).  Defaults to flush-on-sync batching; per_write() makes every
+  /// write its own one-record fan-out, the paper's naive Section 6 sketch.
+  BatchingConfig batching;
 
   LockPolicy default_lock_policy = LockPolicy::kLazy;
   std::map<LockId, LockPolicy> lock_policy_override;

@@ -1534,11 +1534,13 @@ void Node::settle_staged_locked(bool was_empty) {
       return;
     }
   }
-  // Nothing shipped.  Wake the flusher only when this round opened the
-  // window: under per_write() every round ships, so it never wakes at all.
+  // Nothing shipped.  Only a round that opened the window restarts the
+  // staleness clock, and only an idle flusher needs waking: one whose timer
+  // is armed for an earlier window re-arms on oldest_staged_ when it fires.
+  // Under per_write() every round ships, so it never wakes at all.
   if (was_empty && staged_total_ > 0) {
     oldest_staged_ = std::chrono::steady_clock::now();
-    flush_cv_.notify_one();
+    if (flusher_idle_) flush_cv_.notify_one();
   }
 }
 
@@ -1596,12 +1598,15 @@ void Node::flush_staged_locked() {
 void Node::run_flusher() {
   std::unique_lock lk(mu_);
   for (;;) {
+    flusher_idle_ = true;
     flush_cv_.wait(lk, [&] { return flusher_stop_ || staged_total_ > 0; });
+    flusher_idle_ = false;
     if (flusher_stop_) return;
     const auto deadline = oldest_staged_ + cfg_.batching.max_delay;
     if (flush_cv_.wait_until(lk, deadline, [&] { return flusher_stop_; })) return;
-    // A mandatory flush may have raced us and new records may have been
-    // staged since; only ship once something has genuinely aged out.
+    // A mandatory flush may have raced us and a later window may have
+    // opened since; only ship once something has genuinely aged out, else
+    // loop and re-arm on the current window's oldest_staged_.
     if (staged_total_ > 0 &&
         std::chrono::steady_clock::now() >= oldest_staged_ + cfg_.batching.max_delay) {
       flush_staged_locked();

@@ -439,8 +439,8 @@ class Node {
                     ProcId writer = kNoProc);
   /// Close a round of stage_update calls: flush every buffer once any
   /// destination reaches a threshold; otherwise, when the round opened the
-  /// staging window (`was_empty`), start the flusher's max_delay clock.
-  /// Requires mu_.
+  /// staging window (`was_empty`), start the flusher's max_delay clock,
+  /// waking the flusher only if it is idle.  Requires mu_.
   void settle_staged_locked(bool was_empty);
   /// Ship every non-empty staging buffer as one kBatch per destination.
   /// All destinations flush together: uniform flush boundaries keep batch
@@ -599,6 +599,9 @@ class Node {
   std::vector<VectorClock> spare_clocks_;
   std::chrono::steady_clock::time_point oldest_staged_{};
   bool flusher_stop_ = false;
+  /// The flusher is parked in its untimed wait (no max_delay timer armed);
+  /// only then does opening a staging window need to notify it.
+  bool flusher_idle_ = false;
   std::condition_variable flush_cv_;
 
   std::thread delivery_;

@@ -5,7 +5,7 @@
 // synchronized read observes.  Tight replica budgets additionally force
 // the evict → re-fetch path through every phase.  Every case runs under
 // two staging configurations: small batches and the paper's per-write
-// broadcast (BatchingConfig::per_write(), the Config default), where every
+// broadcast (the BatchingConfig::per_write() ablation), where every
 // directory multicast ships at once as a one-record frame.
 
 #include <gtest/gtest.h>

@@ -86,8 +86,14 @@ TEST(EmField, GhostSharingSendsFarFewerUpdates) {
   EmProblem prob;
   prob.m = 64;
   prob.steps = 8;
-  const auto full = em_mixed(prob, 4, ReadMode::kPram, EmSharing::kFullGrid);
-  const auto ghost = em_mixed(prob, 4, ReadMode::kPram, EmSharing::kGhost);
+  // The paper's per-write broadcast: one frame per update per peer, so the
+  // frame count is the update fan-out.  (Batched, both variants ship one
+  // frame per peer per phase.)
+  const auto per_write = dsm::BatchingConfig::per_write();
+  const auto full = em_mixed(prob, 4, ReadMode::kPram, EmSharing::kFullGrid, {}, 1,
+                             false, std::nullopt, false, per_write);
+  const auto ghost = em_mixed(prob, 4, ReadMode::kPram, EmSharing::kGhost, {}, 1,
+                              false, std::nullopt, false, per_write);
   EXPECT_GT(full.metrics.get("net.msg.batch"),
             10 * ghost.metrics.get("net.msg.batch"));
 }

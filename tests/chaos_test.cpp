@@ -106,6 +106,9 @@ TEST(Chaos, CholeskyCountersStayCorrectUnderFaults) {
   const Symbolic sym = analyze(m);
   CholeskyOptions opt;
   opt.procs = 2;
+  // The paper's per-write broadcast: ~10x the frames of the batched
+  // default, so the plan's losses hit the retransmit path many times.
+  opt.batching = dsm::BatchingConfig::per_write();
   opt.faults = chaos_plan(404);
   opt.reliable = true;
   opt.record_trace = true;
@@ -113,6 +116,24 @@ TEST(Chaos, CholeskyCountersStayCorrectUnderFaults) {
   EXPECT_LT(factorization_error(m, par.l), 1e-8);
   EXPECT_GT(par.metrics.get("net.fault.dropped"), 0u);
   EXPECT_GT(par.metrics.get("net.retransmits"), 0u);
+  const auto res = history::check_mixed_consistency(par.history);
+  EXPECT_TRUE(res.ok) << res.message();
+}
+
+TEST(Chaos, CholeskyCountersStayCorrectUnderFaultsWithDefaultBatching) {
+  // The same program under the default flush-on-sync batching: multi-record
+  // frames, shipped at synchronization actions, thresholds or by the
+  // max_delay flusher, must survive the lossy fabric too.
+  const SparseSpd m = SparseSpd::random(12, 2, 0.1, 7);
+  const Symbolic sym = analyze(m);
+  CholeskyOptions opt;
+  opt.procs = 2;
+  opt.faults = chaos_plan(404);
+  opt.reliable = true;
+  opt.record_trace = true;
+  const auto par = cholesky_counters(m, sym, opt);
+  EXPECT_LT(factorization_error(m, par.l), 1e-8);
+  EXPECT_GT(par.metrics.get("net.fault.dropped"), 0u);
   const auto res = history::check_mixed_consistency(par.history);
   EXPECT_TRUE(res.ok) << res.message();
 }

@@ -24,6 +24,7 @@ Config subs_cfg(std::size_t procs) {
 
 TEST(Subscriptions, OnlySubscribersReceiveUpdates) {
   Config cfg = subs_cfg(3);
+  cfg.batching = BatchingConfig::per_write();  // one frame per write
   cfg.update_subscribers[0] = {1};  // var 0: p1 only
   MixedSystem sys(cfg);
   sys.run([](Node& n, ProcId p) {
@@ -132,6 +133,7 @@ TEST(Subscriptions, SubscriberTraceIsMixedConsistent) {
 TEST(Subscriptions, SavesMessagesVersusBroadcast) {
   auto traffic = [](bool subscribe) {
     Config cfg = subs_cfg(4);
+    cfg.batching = BatchingConfig::per_write();  // one frame per write
     if (subscribe) cfg.update_subscribers[0] = {1};
     MixedSystem sys(cfg);
     sys.run([](Node& n, ProcId p) {
