@@ -89,8 +89,8 @@ struct DirectoryConfig {
   /// recently used unpinned replica.
   std::size_t replica_budget = 0;
   /// Upper bound on variables per fill frame: a read miss requests the
-  /// missing variable plus up to this many same-home neighbours (working-
-  /// set prefetch into one kFetchBulkResp).
+  /// missing variable plus the same-home variables that follow it in id
+  /// order, this many in all (readahead into one kFetchBulkResp).
   std::size_t fetch_frame = 16;
 };
 

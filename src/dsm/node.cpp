@@ -945,15 +945,21 @@ template <typename Take>
 std::vector<VarId> Node::same_home_frame(VarId x, std::size_t limit, Take take) const {
   const ProcId h = effective_home(x);
   std::vector<VarId> frame{x};
-  // Homes are assigned per stripe (the elastic ring rule too), so only the
-  // stripes homed at h can contribute; they are visited in id order.
-  for (std::size_t first = 0; first < cfg_.num_vars && frame.size() < limit;
-       first += home_stride_) {
-    const auto begin = static_cast<VarId>(first);
-    if (effective_home(begin) != h) continue;
-    const auto end = static_cast<VarId>(std::min(first + home_stride_, cfg_.num_vars));
-    for (VarId y = begin; y < end && frame.size() < limit; ++y) {
-      if (y == x || !dir_managed(y) || !take(y)) continue;
+  // Readahead: walk forward from x in cyclic id order.  Homes are assigned
+  // per stripe (the elastic ring rule too), so only the stripes homed at h
+  // can contribute.  Step k visits the k-th stripe after x's; the last step
+  // (k == stripes) comes back to x's own stripe for the ids below x.
+  const std::size_t stripes = (cfg_.num_vars + home_stride_ - 1) / home_stride_;
+  const std::size_t own = x / home_stride_;
+  for (std::size_t k = 0; k <= stripes && frame.size() < limit; ++k) {
+    const std::size_t first = (own + k) % stripes * home_stride_;
+    if (effective_home(static_cast<VarId>(first)) != h) continue;
+    const std::size_t begin = k == 0 ? std::size_t{x} + 1 : first;
+    const std::size_t end =
+        k == stripes ? std::size_t{x} : std::min(first + home_stride_, cfg_.num_vars);
+    for (std::size_t i = begin; i < end && frame.size() < limit; ++i) {
+      const auto y = static_cast<VarId>(i);
+      if (!dir_managed(y) || !take(y)) continue;
       frame.push_back(y);
     }
   }

@@ -316,8 +316,9 @@ class Node {
   /// applications, not refetchable), and fills still in flight.  Expects mu_.
   [[nodiscard]] bool replica_pinned(VarId x) const;
   /// x followed by up to `limit - 1` other directory-managed variables with
-  /// x's home for which `take(y)` holds, lowest ids first.  Visits only the
-  /// stripes homed where x is.  Expects mu_.
+  /// x's home for which `take(y)` holds, in cyclic id order after x
+  /// (readahead): the rest of x's stripe, the home's later stripes, then
+  /// wrapping.  Visits only the stripes homed where x is.  Expects mu_.
   template <typename Take>
   [[nodiscard]] std::vector<VarId> same_home_frame(VarId x, std::size_t limit,
                                                    Take take) const;

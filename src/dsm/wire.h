@@ -115,9 +115,10 @@ enum MsgKind : std::uint16_t {
 
   /// Bulk fill request: requester -> home.  a=var count N, b=fill token
   /// (requester-local), c=requester's view epoch (0 outside elastic mode);
-  /// payload = N variable ids (the missing variable plus same-home
-  /// prefetch candidates).  A home behind the stamped epoch defers the
-  /// request until its own commit catches up.
+  /// payload = N variable ids (the missing variable, then the uncached
+  /// same-home variables that follow it in cyclic id order: readahead).
+  /// A home behind the stamped epoch defers the request until its own
+  /// commit catches up.
   kFetchBulkReq = 21,
   /// Bulk fill reply: home -> requester.  a=record count N, b=fill token;
   /// payload = batch-codec frame (dsm/batch.h) of N records carrying
@@ -157,9 +158,10 @@ enum MsgKind : std::uint16_t {
   kDirSharerSync = 29,
   /// Writer registration: writer -> home, sent before the writer's first
   /// write or delta to a variable homed elsewhere.  a=var count N; payload
-  /// = N variable ids (the written variable plus up to fetch_frame - 1
-  /// same-home neighbours).  The home adds the sender to each variable's
-  /// writer set, so later fill fences and sharer changes reach it.
+  /// = N variable ids (the written variable, then up to fetch_frame - 1
+  /// unregistered same-home variables that follow it in cyclic id order).
+  /// The home adds the sender to each variable's writer set, so later fill
+  /// fences and sharer changes reach it.
   kDirWriterReq = 30,
   /// Registration reply: home -> writer.  a=pair count N; payload = N (var,
   /// sharer mask) pairs, the rows as of registration.  Every later change

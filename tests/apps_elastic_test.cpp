@@ -166,10 +166,14 @@ TEST(ElasticCholesky, CrashAfterOwnColumnsSurvivorsFinishFullFactor) {
   opt.procs = 3;
   opt.stall_timeout = kDeadline;
   opt.reliable = true;
-  opt.reliability.initial_rto = 500us;
-  opt.reliability.max_rto = 10ms;
-  opt.reliability.max_retries = 6;
-  opt.reliability.tick = 200us;
+  // A channel gives up after about 0.9 s of silence (2 ms doubling to a
+  // 200 ms cap, 10 retries): long enough that a live survivor starved by a
+  // sanitizer or a busy machine is not evicted, short enough that the crash
+  // is detected well inside kDeadline.
+  opt.reliability.initial_rto = 2ms;
+  opt.reliability.max_rto = 200ms;
+  opt.reliability.max_retries = 10;
+  opt.reliability.tick = 500us;
   opt.reliability.jitter = 0.25;
   opt.reliability.jitter_seed = 9;
 

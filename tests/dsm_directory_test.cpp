@@ -244,6 +244,36 @@ TEST(Directory, PrefetchCappedByBudget) {
   });
 }
 
+TEST(Directory, FillFramesReadAheadFromTheFault) {
+  // 2 procs, 32 vars: stripe 16, vars 0..15 homed at p0.  With frame 4 a
+  // window of eight consecutive reads takes exactly two fills when each
+  // frame runs forward from its faulting variable: from mid-stripe
+  // ({6..9}, {10..13}) and across the stripe end, wrapping to the home's
+  // first stripe ({12..15}, {0..3}).  A fresh system per window keeps the
+  // first window's replicas out of the second.
+  const std::vector<std::vector<VarId>> windows{
+      {6, 7, 8, 9, 10, 11, 12, 13},
+      {12, 13, 14, 15, 0, 1, 2, 3},
+  };
+  for (const auto& window : windows) {
+    MixedSystem sys(dir_config(2, 32, /*budget=*/0, /*fetch_frame=*/4));
+    sys.run([&](Node& n, ProcId p) {
+      if (p == 0) {
+        for (VarId x = 0; x < 16; ++x) n.write_int(x, 100 + x);
+        n.barrier();
+        n.barrier();
+        return;
+      }
+      n.barrier();
+      for (const VarId x : window) {
+        EXPECT_EQ(n.read_int(x, ReadMode::kPram), 100 + x);
+      }
+      EXPECT_EQ(n.stats().dir_fills.get(), 2u) << "window from " << window.front();
+      n.barrier();
+    });
+  }
+}
+
 TEST(Directory, OneSweepEvictsTheLeastRecentlyUsedPair) {
   // 3 procs, 12 vars: 0..3 homed at p0, 4..7 at p1.  p2 caches three
   // replicas (budget 3, frame 2), re-reads them to set their recency, then
@@ -270,7 +300,7 @@ TEST(Directory, OneSweepEvictsTheLeastRecentlyUsedPair) {
     read(0);
     read(4);
     EXPECT_EQ(fills(), 2u);
-    read(2);  // fill {2, 1}: five replicas over a budget of three
+    read(2);  // fill {2, 3}: five replicas over a budget of three
     EXPECT_EQ(fills(), 3u);
     EXPECT_EQ(evictions(), 3u);
     read(4);  // the survivor is still resident
@@ -347,6 +377,27 @@ TEST(Directory, ForeignWriterRegistersOncePerFrame) {
   EXPECT_EQ(snap.get("directory.writer_regs"), 8u);
   EXPECT_GT(snap.get("net.bytes.dir_writer_req"), 0u);
   EXPECT_GT(snap.get("net.bytes.dir_writer_row"), 0u);
+}
+
+TEST(Directory, ForeignWriterRegistersFromMidStripe) {
+  // vars 16..31 homed at p1.  p0's first write lands mid-stripe, at 22:
+  // its registration frame runs forward, {22..25}, so the eight writes
+  // 22..29 send one registration per frame of four.
+  MixedSystem sys(dir_config(2, 32, /*budget=*/0, /*fetch_frame=*/4));
+  sys.run([](Node& n, ProcId p) {
+    if (p == 0) {
+      for (VarId x = 22; x < 30; ++x) n.write_int(x, x);
+      n.barrier();
+    } else {
+      n.barrier();
+      for (VarId x = 22; x < 30; ++x) {
+        EXPECT_EQ(n.read_int(x, ReadMode::kPram), static_cast<std::int64_t>(x));
+      }
+    }
+  });
+  const MetricsSnapshot snap = sys.metrics();
+  EXPECT_EQ(snap.get("net.msg.dir_writer_req"), 2u);
+  EXPECT_EQ(snap.get("directory.writer_regs"), 8u);
 }
 
 TEST(Directory, FenceAndEvictionReachOnlyRegisteredWriters) {

@@ -38,13 +38,16 @@ Config elastic_cfg(std::size_t procs) {
   return cfg;
 }
 
-/// Fast give-up so crash tests reach their PeerUnreachable verdict quickly.
+/// Give-up bounded well inside kDeadline, so crash tests reach their
+/// PeerUnreachable verdict, yet slow enough that a live peer starved by a
+/// busy machine outlasts its retries: a channel gives up only after about
+/// 0.4 s of silence (1 ms doubling to a 100 ms cap, 10 retries).
 void fast_reliability(Config& cfg) {
   cfg.reliable = true;
-  cfg.reliability.initial_rto = 200us;
-  cfg.reliability.max_rto = 2ms;
-  cfg.reliability.max_retries = 3;
-  cfg.reliability.tick = 100us;
+  cfg.reliability.initial_rto = 1ms;
+  cfg.reliability.max_rto = 100ms;
+  cfg.reliability.max_retries = 10;
+  cfg.reliability.tick = 500us;
   cfg.reliability.jitter = 0.25;
   cfg.reliability.jitter_seed = 9;
 }
